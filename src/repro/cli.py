@@ -993,13 +993,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_list = sub.add_parser("list", help="enumerate experiments")
-    p_list.add_argument(
+    # Flags shared, with one meaning, by several subcommands.
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument(
         "--json", action="store_true", help="emit machine-readable JSON"
+    )
+    cache_dir_flag = argparse.ArgumentParser(add_help=False)
+    cache_dir_flag.add_argument(
+        "--cache-dir",
+        metavar="PATH",
+        default=DEFAULT_CACHE_DIR,
+        help=f"cache location (default: {DEFAULT_CACHE_DIR})",
+    )
+
+    p_list = sub.add_parser(
+        "list", help="enumerate experiments", parents=[json_flag]
     )
     p_list.set_defaults(func=cmd_list)
 
-    p_run = sub.add_parser("run", help="run one experiment (or 'all')")
+    p_run = sub.add_parser(
+        "run", help="run one experiment (or 'all')", parents=[cache_dir_flag]
+    )
     p_run.add_argument("experiment", help="experiment id, e.g. fig10")
     p_run.add_argument(
         "--jobs",
@@ -1015,12 +1029,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=True,
         help="reuse/store point results in the on-disk cache "
         "(default: on; --no-cache recomputes everything)",
-    )
-    p_run.add_argument(
-        "--cache-dir",
-        metavar="PATH",
-        default=DEFAULT_CACHE_DIR,
-        help=f"cache location (default: {DEFAULT_CACHE_DIR})",
     )
     p_run.add_argument(
         "--clear-cache",
@@ -1061,26 +1069,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cache_sub = p_cache.add_subparsers(dest="cache_command", required=True)
     p_cache_stats = cache_sub.add_parser(
-        "stats", help="show cached entries per experiment"
-    )
-    p_cache_stats.add_argument(
-        "--json", action="store_true", help="emit machine-readable JSON"
-    )
-    p_cache_stats.add_argument(
-        "--cache-dir",
-        metavar="PATH",
-        default=DEFAULT_CACHE_DIR,
-        help=f"cache location (default: {DEFAULT_CACHE_DIR})",
+        "stats", help="show cached entries per experiment",
+        parents=[json_flag, cache_dir_flag],
     )
     p_cache_stats.set_defaults(func=cmd_cache)
     p_cache_clear = cache_sub.add_parser(
-        "clear", help="remove every cached result"
-    )
-    p_cache_clear.add_argument(
-        "--cache-dir",
-        metavar="PATH",
-        default=DEFAULT_CACHE_DIR,
-        help=f"cache location (default: {DEFAULT_CACHE_DIR})",
+        "clear", help="remove every cached result",
+        parents=[cache_dir_flag],
     )
     p_cache_clear.set_defaults(func=cmd_cache)
 
@@ -1092,31 +1087,19 @@ def build_parser() -> argparse.ArgumentParser:
         dest="schedcache_command", required=True
     )
     p_sched_stats = sched_sub.add_parser(
-        "stats", help="show stored timing profiles"
-    )
-    p_sched_stats.add_argument(
-        "--json", action="store_true", help="emit machine-readable JSON"
-    )
-    p_sched_stats.add_argument(
-        "--cache-dir",
-        metavar="PATH",
-        default=DEFAULT_CACHE_DIR,
-        help=f"cache location (default: {DEFAULT_CACHE_DIR})",
+        "stats", help="show stored timing profiles",
+        parents=[json_flag, cache_dir_flag],
     )
     p_sched_stats.set_defaults(func=cmd_schedcache)
     p_sched_clear = sched_sub.add_parser(
-        "clear", help="remove every stored timing profile"
-    )
-    p_sched_clear.add_argument(
-        "--cache-dir",
-        metavar="PATH",
-        default=DEFAULT_CACHE_DIR,
-        help=f"cache location (default: {DEFAULT_CACHE_DIR})",
+        "clear", help="remove every stored timing profile",
+        parents=[cache_dir_flag],
     )
     p_sched_clear.set_defaults(func=cmd_schedcache)
     p_sched_compile = sched_sub.add_parser(
         "compile",
         help="precompile timing profiles into the on-disk store",
+        parents=[cache_dir_flag],
     )
     p_sched_compile.add_argument(
         "--collective",
@@ -1133,17 +1116,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="banks x chips x ranks structure (repeatable; "
         "default: the default machine's shape)",
     )
-    p_sched_compile.add_argument(
-        "--cache-dir",
-        metavar="PATH",
-        default=DEFAULT_CACHE_DIR,
-        help=f"cache location (default: {DEFAULT_CACHE_DIR})",
-    )
     p_sched_compile.set_defaults(func=cmd_schedcache)
 
-    p_info = sub.add_parser("info", help="show machine/backend summary")
-    p_info.add_argument(
-        "--json", action="store_true", help="emit machine-readable JSON"
+    p_info = sub.add_parser(
+        "info", help="show machine/backend summary", parents=[json_flag]
     )
     p_info.set_defaults(func=cmd_info)
 
@@ -1202,14 +1178,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     faults_sub = p_faults.add_subparsers(dest="faults_command", required=True)
     p_faults_list = faults_sub.add_parser(
-        "list", help="enumerate the named campaign presets"
-    )
-    p_faults_list.add_argument(
-        "--json", action="store_true", help="emit machine-readable JSON"
+        "list", help="enumerate the named campaign presets",
+        parents=[json_flag],
     )
     p_faults_list.set_defaults(func=cmd_faults)
     p_faults_run = faults_sub.add_parser(
-        "run", help="run one campaign (preset name or JSON spec file)"
+        "run", help="run one campaign (preset name or JSON spec file)",
+        parents=[json_flag],
     )
     p_faults_run.add_argument(
         "campaign",
@@ -1252,9 +1227,6 @@ def build_parser() -> argparse.ArgumentParser:
         "docs/OBSERVABILITY.md) against the campaign's metrics; "
         "violations exit nonzero (requires --metrics)",
     )
-    p_faults_run.add_argument(
-        "--json", action="store_true", help="emit machine-readable JSON"
-    )
     p_faults_run.set_defaults(func=cmd_faults)
 
     p_conf = sub.add_parser(
@@ -1266,7 +1238,8 @@ def build_parser() -> argparse.ArgumentParser:
         dest="conformance_command", required=True
     )
     p_conf_run = conf_sub.add_parser(
-        "run", help="run the full conformance matrix"
+        "run", help="run the full conformance matrix",
+        parents=[json_flag, cache_dir_flag],
     )
     p_conf_run.add_argument(
         "--seed",
@@ -1305,12 +1278,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: on; --no-cache recomputes everything)",
     )
     p_conf_run.add_argument(
-        "--cache-dir",
-        metavar="PATH",
-        default=DEFAULT_CACHE_DIR,
-        help=f"cache location (default: {DEFAULT_CACHE_DIR})",
-    )
-    p_conf_run.add_argument(
         "--reproducer-dir",
         metavar="PATH",
         default=".",
@@ -1324,18 +1291,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the final metrics snapshot to PATH "
         "(.csv for CSV, .prom for Prometheus, else JSON)",
     )
-    p_conf_run.add_argument(
-        "--json", action="store_true", help="emit machine-readable JSON"
-    )
     p_conf_run.set_defaults(func=cmd_conformance)
     p_conf_list = conf_sub.add_parser(
-        "list", help="enumerate the matrix points"
+        "list", help="enumerate the matrix points",
+        parents=[json_flag],
     )
     p_conf_list.add_argument(
         "--seed", type=int, default=None, help=argparse.SUPPRESS
-    )
-    p_conf_list.add_argument(
-        "--json", action="store_true", help="emit machine-readable JSON"
     )
     p_conf_list.set_defaults(func=cmd_conformance)
     p_conf_shrink = conf_sub.add_parser(
@@ -1360,10 +1322,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench_sub = p_bench.add_subparsers(dest="bench_command", required=True)
     p_bench_list = bench_sub.add_parser(
-        "list", help="enumerate the bench scenarios"
-    )
-    p_bench_list.add_argument(
-        "--json", action="store_true", help="emit machine-readable JSON"
+        "list", help="enumerate the bench scenarios",
+        parents=[json_flag],
     )
     p_bench_list.set_defaults(func=cmd_bench)
     p_bench_run = bench_sub.add_parser(
@@ -1414,6 +1374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench_compare = bench_sub.add_parser(
         "compare",
         help="noise-aware delta table; exits nonzero on regression",
+        parents=[json_flag],
     )
     p_bench_compare.add_argument(
         "old", help="baseline BENCH_*.json artifact"
@@ -1432,9 +1393,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--markdown",
         action="store_true",
         help="emit the delta table as GitHub-flavored markdown",
-    )
-    p_bench_compare.add_argument(
-        "--json", action="store_true", help="emit machine-readable JSON"
     )
     p_bench_compare.set_defaults(func=cmd_bench)
 

@@ -14,10 +14,10 @@ construction, not by bug.  See ``docs/CONFORMANCE.md``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 from ..errors import ConformanceError
+from .units import is_finite_number
 
 #: Collective patterns checked by the default matrix (the five Table V
 #: patterns with non-trivial multi-tier schedules).
@@ -35,11 +35,6 @@ DEFAULT_SHAPES = ((2, 2, 1), (2, 2, 2), (4, 2, 2))
 
 #: Per-DPU payload sizes in bytes (int64 elements: 32, 128, 512).
 DEFAULT_PAYLOADS = (256, 1024, 4096)
-
-
-def _finite(value: object) -> bool:
-    """Whether ``value`` is a real, finite number (no NaN/inf/str)."""
-    return isinstance(value, (int, float)) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -105,13 +100,16 @@ class ConformanceConfig:
                     f"payload {payload} is not a multiple of the "
                     f"{self.itemsize}-byte element size"
                 )
-        if not _finite(self.latency_rel_tol) or self.latency_rel_tol < 0:
+        if (
+            not is_finite_number(self.latency_rel_tol)
+            or self.latency_rel_tol < 0
+        ):
             raise ConformanceError(
                 f"latency_rel_tol must be finite and >= 0, "
                 f"got {self.latency_rel_tol}"
             )
         if (
-            not _finite(self.latency_min_ratio)
+            not is_finite_number(self.latency_min_ratio)
             or not 0 <= self.latency_min_ratio <= 1
         ):
             raise ConformanceError(
@@ -119,7 +117,7 @@ class ConformanceConfig:
                 f"got {self.latency_min_ratio}"
             )
         if (
-            not _finite(self.latency_abs_slack_cycles)
+            not is_finite_number(self.latency_abs_slack_cycles)
             or self.latency_abs_slack_cycles < 0
         ):
             raise ConformanceError(

@@ -17,11 +17,11 @@ values) so configs stay JSON-serializable and this module stays below
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 from ..errors import ConfigurationError
+from .units import is_finite_number
 
 __all__ = [
     "KNOWN_PATTERNS",
@@ -43,13 +43,6 @@ KNOWN_PATTERNS = (
     "gather",
 )
 _KNOWN = frozenset(KNOWN_PATTERNS)
-
-
-def _require_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ConfigurationError(f"{name} must be finite, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -81,13 +74,13 @@ class TimeSlotConfig:
             raise ConfigurationError(
                 f"slot {self.name!r} lists a pattern more than once"
             )
-        window = _require_finite(f"slot {self.name!r} time_window_s",
-                                 self.time_window_s)
-        if window <= 0:
+        window = self.time_window_s
+        if not is_finite_number(window) or window <= 0:
             raise ConfigurationError(
-                f"slot {self.name!r} time_window_s must be > 0, got {window!r}"
+                f"slot {self.name!r} time_window_s must be finite and > 0, "
+                f"got {window!r}"
             )
-        object.__setattr__(self, "time_window_s", window)
+        object.__setattr__(self, "time_window_s", float(window))
         if not isinstance(self.max_multiplexing, int) or self.max_multiplexing < 1:
             raise ConfigurationError(
                 f"slot {self.name!r} max_multiplexing must be an int >= 1, "
@@ -107,7 +100,7 @@ class TimeSlotConfig:
         return cls(
             name=str(data["name"]),
             patterns=tuple(data.get("patterns", ())),
-            time_window_s=float(data.get("time_window_s", 1e-3)),
+            time_window_s=data.get("time_window_s", 1e-3),
             max_multiplexing=int(data.get("max_multiplexing", 1)),
         )
 
@@ -172,12 +165,12 @@ class ServiceConfig:
             raise ConfigurationError(
                 f"slot names must be unique, got {names}"
             )
-        switch = _require_finite("switch_time_s", self.switch_time_s)
-        if switch < 0:
+        switch = self.switch_time_s
+        if not is_finite_number(switch) or switch < 0:
             raise ConfigurationError(
-                f"switch_time_s must be >= 0, got {switch!r}"
+                f"switch_time_s must be finite and >= 0, got {switch!r}"
             )
-        object.__setattr__(self, "switch_time_s", switch)
+        object.__setattr__(self, "switch_time_s", float(switch))
         if not isinstance(self.queue_limit, int) or self.queue_limit < 1:
             raise ConfigurationError(
                 f"queue_limit must be an int >= 1, got {self.queue_limit!r}"
@@ -225,7 +218,7 @@ class ServiceConfig:
             slots=tuple(
                 TimeSlotConfig.from_dict(slot) for slot in data["slots"]
             ),
-            switch_time_s=float(data.get("switch_time_s", 50e-6)),
+            switch_time_s=data.get("switch_time_s", 50e-6),
             queue_limit=int(data.get("queue_limit", 256)),
             default_quota=TenantQuotaConfig.from_dict(
                 data.get("default_quota", {})

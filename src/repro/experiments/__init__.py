@@ -1,7 +1,11 @@
 """Experiment drivers: one module per paper figure/table.
 
-Every module exposes ``run(...) -> result`` and ``format_table(result)
--> str`` printing the paper-shaped rows; the benchmark suite calls both.
+Every module exposes ``run(...) -> result``, ``build_tables(result)``
+and ``format_table(result) -> str`` printing the paper-shaped rows; the
+benchmark suite calls them.  A swept module defines its experiment once,
+as a registered sweep (``_points`` / ``_point`` / ``_result``): ``run()``
+evaluates that sweep in process and the runner evaluates it with caching
+and worker processes, so both paths render the same tables.
 """
 
 from . import (

@@ -30,7 +30,7 @@ from ..config.units import transfer_time
 from ..core.multichannel import multichannel_collective
 from ..runner.registry import register_experiment
 from ..runner.spec import SweepPoint
-from .common import ExperimentTable, default_machine
+from .common import ExperimentTable, table_formatter
 
 DEFAULT_PAYLOAD_BYTES = 32 * 1024
 
@@ -157,6 +157,15 @@ ABLATIONS = {
 }
 
 
+def _points(
+    machine: MachineConfig, payload_bytes: int = DEFAULT_PAYLOAD_BYTES
+) -> tuple[SweepPoint, ...]:
+    return tuple(
+        SweepPoint(i, {"ablation": key, "payload_bytes": payload_bytes})
+        for i, key in enumerate(ABLATIONS)
+    )
+
+
 def _point(
     machine: MachineConfig, ablation: str, payload_bytes: int
 ) -> dict:
@@ -169,9 +178,14 @@ def _point(
     }
 
 
+def _result(
+    machine: MachineConfig, params: tuple[dict, ...], values: tuple[dict, ...]
+) -> list[AblationResult]:
+    return [AblationResult(**v) for v in values]
+
+
 def run(machine: MachineConfig | None = None) -> list[AblationResult]:
-    machine = machine or default_machine()
-    return [fn(machine) for fn in ABLATIONS.values()]
+    return SPEC.evaluate(machine)
 
 
 def build_tables(results: list[AblationResult]) -> tuple[ExperimentTable, ...]:
@@ -194,30 +208,13 @@ def build_tables(results: list[AblationResult]) -> tuple[ExperimentTable, ...]:
     )
 
 
-def format_table(results: list[AblationResult]) -> str:
-    return "\n\n".join(t.format() for t in build_tables(results))
-
-
-def _points(machine: MachineConfig) -> tuple[SweepPoint, ...]:
-    return tuple(
-        SweepPoint(
-            i, {"ablation": key, "payload_bytes": DEFAULT_PAYLOAD_BYTES}
-        )
-        for i, key in enumerate(ABLATIONS)
-    )
-
-
-def _assemble(
-    machine: MachineConfig, values: tuple[dict, ...]
-) -> tuple[ExperimentTable, ...]:
-    results = [AblationResult(**v) for v in values]
-    return build_tables(results)
-
+format_table = table_formatter(build_tables)
 
 SPEC = register_experiment(
     experiment_id="ablations",
     title="Ablations: PIMnet design choices",
     points=_points,
     point_fn=_point,
-    assemble=_assemble,
+    result=_result,
+    build_tables=build_tables,
 )

@@ -16,7 +16,7 @@ from ..config.presets import MachineConfig
 from ..memory.channel import DdrChannel
 from ..runner.registry import register_experiment
 from ..runner.spec import SweepPoint
-from .common import ExperimentTable, default_machine
+from .common import ExperimentTable, table_formatter
 
 TRANSFER_SIZES = tuple(4 * 1024 * (4 ** e) for e in range(7))  # 4KiB..16MiB
 
@@ -45,12 +45,21 @@ def _point(machine: MachineConfig, size: int) -> dict[str, float]:
     }
 
 
-def _result_from_points(
-    machine: MachineConfig, values: tuple[dict[str, float], ...]
+def _points(machine: MachineConfig) -> tuple[SweepPoint, ...]:
+    return tuple(
+        SweepPoint(i, {"size": size})
+        for i, size in enumerate(TRANSFER_SIZES)
+    )
+
+
+def _result(
+    machine: MachineConfig,
+    params: tuple[dict, ...],
+    values: tuple[dict[str, float], ...],
 ) -> CharacterizationResult:
     peak = machine.host_links.pim_to_cpu_bytes_per_s / 1e9
     return CharacterizationResult(
-        sizes=TRANSFER_SIZES,
+        sizes=tuple(p["size"] for p in params),
         gather_gbs=tuple(v["gather"] for v in values),
         scatter_gbs=tuple(v["scatter"] for v in values),
         broadcast_gbs=tuple(v["broadcast"] for v in values),
@@ -62,11 +71,7 @@ def _result_from_points(
 
 
 def run(machine: MachineConfig | None = None) -> CharacterizationResult:
-    machine = machine or default_machine()
-    return _result_from_points(
-        machine,
-        tuple(_point(machine, size) for size in TRANSFER_SIZES),
-    )
+    return SPEC.evaluate(machine)
 
 
 def build_tables(
@@ -101,27 +106,13 @@ def build_tables(
     )
 
 
-def format_table(result: CharacterizationResult) -> str:
-    return "\n\n".join(t.format() for t in build_tables(result))
-
-
-def _points(machine: MachineConfig) -> tuple[SweepPoint, ...]:
-    return tuple(
-        SweepPoint(i, {"size": size})
-        for i, size in enumerate(TRANSFER_SIZES)
-    )
-
-
-def _assemble(
-    machine: MachineConfig, values: tuple[dict[str, float], ...]
-) -> tuple[ExperimentTable, ...]:
-    return build_tables(_result_from_points(machine, values))
-
+format_table = table_formatter(build_tables)
 
 SPEC = register_experiment(
     experiment_id="characterization",
     title="Host-link characterization (Sec III)",
     points=_points,
     point_fn=_point,
-    assemble=_assemble,
+    result=_result,
+    build_tables=build_tables,
 )

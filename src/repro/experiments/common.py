@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable
 
 from ..config.presets import MachineConfig, pimnet_sim_system
-from ..config.system import PimSystemConfig
 from ..errors import ReproError
 
 
@@ -54,6 +53,50 @@ class ExperimentTable:
         if self.notes:
             lines.append(f"note: {self.notes}")
         return "\n".join(lines)
+
+
+def format_tables(tables: Iterable[ExperimentTable]) -> str:
+    """Tables as text, separated by blank lines."""
+    return "\n\n".join(table.format() for table in tables)
+
+
+def table_formatter(
+    build_tables: Callable[[Any], tuple[ExperimentTable, ...]],
+) -> Callable[[Any], str]:
+    """A module's ``format_table(result)``: its tables, as text."""
+
+    def format_table(result: Any) -> str:
+        return format_tables(build_tables(result))
+
+    return format_table
+
+
+def panel_tables(
+    build_tables: Callable[[Any], tuple[ExperimentTable, ...]],
+) -> Callable[[Any], tuple[ExperimentTable, ...]]:
+    """``build_tables`` over a tuple of per-panel results, in order."""
+
+    def tables(results: Any) -> tuple[ExperimentTable, ...]:
+        return tuple(t for result in results for t in build_tables(result))
+
+    return tables
+
+
+def panels(
+    params: tuple[dict, ...], values: tuple, key: str = "pattern"
+) -> list[tuple[Any, list[dict], list]]:
+    """Split a sweep into ``(params[key], params, values)`` panels.
+
+    Panels come out in first-seen order, each keeping index order.
+    """
+    groups: dict[Any, tuple[list[dict], list]] = {}
+    for point_params, value in zip(params, values):
+        panel_params, panel_values = groups.setdefault(
+            point_params[key], ([], [])
+        )
+        panel_params.append(point_params)
+        panel_values.append(value)
+    return [(k, ps, vs) for k, (ps, vs) in groups.items()]
 
 
 def _cell(value) -> str:

@@ -19,7 +19,7 @@ from ..config.presets import MachineConfig
 from ..faults.campaign import run_campaign
 from ..runner.registry import register_experiment
 from ..runner.spec import SweepPoint
-from .common import ExperimentTable
+from .common import ExperimentTable, table_formatter
 
 RATE_FACTORS = (0.0, 0.5, 1.0, 2.0, 4.0)
 DEFAULTS = {
@@ -62,6 +62,14 @@ class FaultSweepResult:
         return self.completion_rates[0] == 1.0 and self.mean_retries[0] == 0
 
 
+def _points(machine: MachineConfig, **overrides) -> tuple[SweepPoint, ...]:
+    params = {**DEFAULTS, **overrides}
+    return tuple(
+        SweepPoint(i, {"rate_factor": factor, **params})
+        for i, factor in enumerate(RATE_FACTORS)
+    )
+
+
 def _point(
     machine: MachineConfig,
     rate_factor: float,
@@ -88,31 +96,28 @@ def _point(
     }
 
 
-def run(
-    machine: MachineConfig | None = None,
-    seed: int = DEFAULTS["seed"],
-    trials: int = DEFAULTS["trials"],
-    payload_bytes: int = DEFAULTS["payload_bytes"],
+def _result(
+    machine: MachineConfig, params: tuple[dict, ...], values: tuple[dict, ...]
 ) -> FaultSweepResult:
-    from .common import default_machine
-
-    machine = machine or default_machine()
-    values = [
-        _point(machine, factor, seed, trials, payload_bytes)
-        for factor in RATE_FACTORS
-    ]
-    return _result(values)
-
-
-def _result(values) -> FaultSweepResult:
     return FaultSweepResult(
-        rate_factors=RATE_FACTORS,
+        rate_factors=tuple(p["rate_factor"] for p in params),
         completion_rates=tuple(v["completion_rate"] for v in values),
         bandwidths=tuple(v["bandwidth"] for v in values),
         p50s=tuple(v["p50"] for v in values),
         p99s=tuple(v["p99"] for v in values),
         p999s=tuple(v["p999"] for v in values),
         mean_retries=tuple(v["mean_retries"] for v in values),
+    )
+
+
+def run(
+    machine: MachineConfig | None = None,
+    seed: int = DEFAULTS["seed"],
+    trials: int = DEFAULTS["trials"],
+    payload_bytes: int = DEFAULTS["payload_bytes"],
+) -> FaultSweepResult:
+    return SPEC.evaluate(
+        machine, seed=seed, trials=trials, payload_bytes=payload_bytes
     )
 
 
@@ -159,27 +164,13 @@ def build_tables(result: FaultSweepResult) -> tuple[ExperimentTable, ...]:
     )
 
 
-def format_table(result: FaultSweepResult) -> str:
-    return "\n\n".join(t.format() for t in build_tables(result))
-
-
-def _points(machine: MachineConfig) -> tuple[SweepPoint, ...]:
-    return tuple(
-        SweepPoint(i, {"rate_factor": factor, **DEFAULTS})
-        for i, factor in enumerate(RATE_FACTORS)
-    )
-
-
-def _assemble(
-    machine: MachineConfig, values: tuple[dict, ...]
-) -> tuple[ExperimentTable, ...]:
-    return build_tables(_result(values))
-
+format_table = table_formatter(build_tables)
 
 SPEC = register_experiment(
     experiment_id="fault_sweep",
     title="Fault-rate degradation sweep (resilience)",
     points=_points,
     point_fn=_point,
-    assemble=_assemble,
+    result=_result,
+    build_tables=build_tables,
 )

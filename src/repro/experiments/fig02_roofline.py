@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from ..analysis.roofline import RooflineModel, RooflineSeries
 from ..config.presets import MachineConfig
 from ..runner.registry import register_monolithic
-from .common import ExperimentTable, default_machine
+from .common import ExperimentTable, default_machine, table_formatter
 
 
 @dataclass(frozen=True)
@@ -74,8 +74,7 @@ def build_tables(result: RooflineResult) -> tuple[ExperimentTable, ...]:
     return (table_a, table_b)
 
 
-def format_table(result: RooflineResult) -> str:
-    return "\n\n".join(t.format() for t in build_tables(result))
+format_table = table_formatter(build_tables)
 
 
 SPEC = register_monolithic(

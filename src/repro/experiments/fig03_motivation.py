@@ -20,8 +20,10 @@ from ..runner.spec import SweepPoint
 from .common import (
     ExperimentTable,
     SCALING_DPU_COUNTS,
-    default_machine,
+    panel_tables,
+    panels,
     scaled_machine,
+    table_formatter,
 )
 
 BACKENDS = ("B", "S", "P")
@@ -49,6 +51,27 @@ class ScalabilityResult:
         return out
 
 
+def _points(
+    machine: MachineConfig,
+    patterns: tuple[Collective, ...] = PANEL_PATTERNS,
+    payload_bytes: int = DEFAULT_PAYLOAD_BYTES,
+    backends: tuple[str, ...] = BACKENDS,
+) -> tuple[SweepPoint, ...]:
+    grid = [(pattern, n) for pattern in patterns for n in SCALING_DPU_COUNTS]
+    return tuple(
+        SweepPoint(
+            i,
+            {
+                "pattern": pattern.value,
+                "num_dpus": n,
+                "payload_bytes": payload_bytes,
+                "backends": list(backends),
+            },
+        )
+        for i, (pattern, n) in enumerate(grid)
+    )
+
+
 def _point(
     machine: MachineConfig,
     pattern: str,
@@ -67,34 +90,46 @@ def _point(
     }
 
 
+def _result(
+    machine: MachineConfig,
+    params: tuple[dict, ...],
+    values: tuple[dict[str, float], ...],
+) -> tuple[ScalabilityResult, ...]:
+    """One :class:`ScalabilityResult` per swept pattern."""
+    return tuple(
+        ScalabilityResult(
+            pattern=Collective(pattern),
+            dpu_counts=tuple(p["num_dpus"] for p in panel_params),
+            payload_bytes=panel_params[0]["payload_bytes"],
+            times_s={
+                key: tuple(at_n[key] for at_n in panel_values)
+                for key in panel_params[0]["backends"]
+            },
+        )
+        for pattern, panel_params, panel_values in panels(params, values)
+    )
+
+
 def run(
     pattern: Collective = Collective.ALL_REDUCE,
     machine: MachineConfig | None = None,
     payload_bytes: int = DEFAULT_PAYLOAD_BYTES,
     backends: tuple[str, ...] = BACKENDS,
 ) -> ScalabilityResult:
-    machine = machine or default_machine()
-    times: dict[str, list[float]] = {k: [] for k in backends}
-    for n in SCALING_DPU_COUNTS:
-        at_n = _point(machine, pattern.value, n, payload_bytes, list(backends))
-        for key in backends:
-            times[key].append(at_n[key])
-    return ScalabilityResult(
-        pattern=pattern,
-        dpu_counts=SCALING_DPU_COUNTS,
+    (result,) = SPEC.evaluate(
+        machine,
+        patterns=(pattern,),
         payload_bytes=payload_bytes,
-        times_s={k: tuple(v) for k, v in times.items()},
+        backends=backends,
     )
+    return result
 
 
 def run_both(
     machine: MachineConfig | None = None,
 ) -> tuple[ScalabilityResult, ScalabilityResult]:
     """(AllReduce, All-to-All) sweeps — the two panels of Fig 3."""
-    return (
-        run(Collective.ALL_REDUCE, machine),
-        run(Collective.ALL_TO_ALL, machine),
-    )
+    return SPEC.evaluate(machine)
 
 
 def build_tables(result: ScalabilityResult) -> tuple[ExperimentTable, ...]:
@@ -118,51 +153,13 @@ def build_tables(result: ScalabilityResult) -> tuple[ExperimentTable, ...]:
     )
 
 
-def format_table(result: ScalabilityResult) -> str:
-    return "\n\n".join(t.format() for t in build_tables(result))
-
-
-def _points(machine: MachineConfig) -> tuple[SweepPoint, ...]:
-    points = []
-    for pattern in PANEL_PATTERNS:
-        for n in SCALING_DPU_COUNTS:
-            points.append(
-                SweepPoint(
-                    len(points),
-                    {
-                        "pattern": pattern.value,
-                        "num_dpus": n,
-                        "payload_bytes": DEFAULT_PAYLOAD_BYTES,
-                        "backends": list(BACKENDS),
-                    },
-                )
-            )
-    return tuple(points)
-
-
-def _assemble(
-    machine: MachineConfig, values: tuple[dict[str, float], ...]
-) -> tuple[ExperimentTable, ...]:
-    tables = []
-    per_panel = len(SCALING_DPU_COUNTS)
-    for i, pattern in enumerate(PANEL_PATTERNS):
-        chunk = values[i * per_panel:(i + 1) * per_panel]
-        result = ScalabilityResult(
-            pattern=pattern,
-            dpu_counts=SCALING_DPU_COUNTS,
-            payload_bytes=DEFAULT_PAYLOAD_BYTES,
-            times_s={
-                key: tuple(at_n[key] for at_n in chunk) for key in BACKENDS
-            },
-        )
-        tables.extend(build_tables(result))
-    return tuple(tables)
-
+format_table = table_formatter(build_tables)
 
 SPEC = register_experiment(
     experiment_id="fig03",
     title="Fig 3: collective scalability motivation",
     points=_points,
     point_fn=_point,
-    assemble=_assemble,
+    result=_result,
+    build_tables=panel_tables(build_tables),
 )

@@ -10,7 +10,7 @@ from ..runner.registry import register_experiment
 from ..runner.spec import SweepPoint
 from ..workloads import compare_backends, paper_workloads
 from ..workloads.base import AppResult
-from .common import ExperimentTable, default_machine
+from .common import ExperimentTable, table_formatter
 
 BACKEND_ORDER = ("B", "S", "N", "D", "P")
 
@@ -56,6 +56,19 @@ class ApplicationsResult:
         return best, self.speedup(best)
 
 
+def _points(
+    machine: MachineConfig, workload_names: tuple[str, ...] | None = None
+) -> tuple[SweepPoint, ...]:
+    names = [
+        name
+        for name in paper_workloads()
+        if workload_names is None or name in workload_names
+    ]
+    return tuple(
+        SweepPoint(i, {"workload": name}) for i, name in enumerate(names)
+    )
+
+
 def _point(machine: MachineConfig, workload: str) -> dict[str, dict]:
     """Per-backend results for one workload, JSON-encoded."""
     wl = paper_workloads()[workload]
@@ -63,21 +76,27 @@ def _point(machine: MachineConfig, workload: str) -> dict[str, dict]:
     return {key: app_to_jsonable(app) for key, app in group.items()}
 
 
+def _result(
+    machine: MachineConfig,
+    params: tuple[dict, ...],
+    values: tuple[dict[str, dict], ...],
+) -> ApplicationsResult:
+    return ApplicationsResult(
+        results={
+            p["workload"]: {
+                key: app_from_jsonable(encoded)
+                for key, encoded in group.items()
+            }
+            for p, group in zip(params, values)
+        }
+    )
+
+
 def run(
     machine: MachineConfig | None = None,
     workload_names: tuple[str, ...] | None = None,
 ) -> ApplicationsResult:
-    machine = machine or default_machine()
-    workloads = paper_workloads()
-    if workload_names is not None:
-        workloads = {
-            k: v for k, v in workloads.items() if k in workload_names
-        }
-    results = {
-        name: compare_backends(wl, machine, list(BACKEND_ORDER))
-        for name, wl in workloads.items()
-    }
-    return ApplicationsResult(results=results)
+    return SPEC.evaluate(machine, workload_names=workload_names)
 
 
 def build_tables(result: ApplicationsResult) -> tuple[ExperimentTable, ...]:
@@ -106,34 +125,13 @@ def build_tables(result: ApplicationsResult) -> tuple[ExperimentTable, ...]:
     )
 
 
-def format_table(result: ApplicationsResult) -> str:
-    return "\n\n".join(t.format() for t in build_tables(result))
-
-
-def _points(machine: MachineConfig) -> tuple[SweepPoint, ...]:
-    return tuple(
-        SweepPoint(i, {"workload": name})
-        for i, name in enumerate(paper_workloads())
-    )
-
-
-def _assemble(
-    machine: MachineConfig, values: tuple[dict[str, dict], ...]
-) -> tuple[ExperimentTable, ...]:
-    results = {
-        name: {
-            key: app_from_jsonable(encoded)
-            for key, encoded in group.items()
-        }
-        for name, group in zip(paper_workloads(), values)
-    }
-    return build_tables(ApplicationsResult(results=results))
-
+format_table = table_formatter(build_tables)
 
 SPEC = register_experiment(
     experiment_id="fig10",
     title="Fig 10: application performance",
     points=_points,
     point_fn=_point,
-    assemble=_assemble,
+    result=_result,
+    build_tables=build_tables,
 )

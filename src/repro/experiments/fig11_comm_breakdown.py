@@ -17,7 +17,7 @@ from ..config.presets import MachineConfig
 from ..runner.registry import register_experiment
 from ..runner.spec import SweepPoint
 from ..workloads import compare_backends, paper_workloads
-from .common import ExperimentTable, default_machine
+from .common import ExperimentTable, table_formatter
 
 #: The paper normalizes NTT and Join to NDPBridge, everything else to
 #: DIMM-Link.
@@ -37,6 +37,13 @@ class CommBreakdownResult:
     entries: tuple[CommBreakdownEntry, ...]
 
 
+def _points(machine: MachineConfig) -> tuple[SweepPoint, ...]:
+    return tuple(
+        SweepPoint(i, {"workload": name})
+        for i, name in enumerate(paper_workloads())
+    )
+
+
 def _point(machine: MachineConfig, workload: str) -> dict:
     """One Fig 11 row: PIMnet breakdown plus comm-only speedup."""
     results = compare_backends(
@@ -54,21 +61,24 @@ def _point(machine: MachineConfig, workload: str) -> dict:
     }
 
 
-def _entry(workload: str, value: dict) -> CommBreakdownEntry:
-    return CommBreakdownEntry(
-        workload=workload,
-        pimnet=CommBreakdown(**value["pimnet_comm"]),
-        reference_backend=value["reference_backend"],
-        comm_speedup=value["comm_speedup"],
+def _result(
+    machine: MachineConfig, params: tuple[dict, ...], values: tuple[dict, ...]
+) -> CommBreakdownResult:
+    return CommBreakdownResult(
+        entries=tuple(
+            CommBreakdownEntry(
+                workload=p["workload"],
+                pimnet=CommBreakdown(**value["pimnet_comm"]),
+                reference_backend=value["reference_backend"],
+                comm_speedup=value["comm_speedup"],
+            )
+            for p, value in zip(params, values)
+        )
     )
 
 
 def run(machine: MachineConfig | None = None) -> CommBreakdownResult:
-    machine = machine or default_machine()
-    entries = [
-        _entry(name, _point(machine, name)) for name in paper_workloads()
-    ]
-    return CommBreakdownResult(entries=tuple(entries))
+    return SPEC.evaluate(machine)
 
 
 def build_tables(result: CommBreakdownResult) -> tuple[ExperimentTable, ...]:
@@ -100,31 +110,13 @@ def build_tables(result: CommBreakdownResult) -> tuple[ExperimentTable, ...]:
     )
 
 
-def format_table(result: CommBreakdownResult) -> str:
-    return "\n\n".join(t.format() for t in build_tables(result))
-
-
-def _points(machine: MachineConfig) -> tuple[SweepPoint, ...]:
-    return tuple(
-        SweepPoint(i, {"workload": name})
-        for i, name in enumerate(paper_workloads())
-    )
-
-
-def _assemble(
-    machine: MachineConfig, values: tuple[dict, ...]
-) -> tuple[ExperimentTable, ...]:
-    entries = tuple(
-        _entry(name, value)
-        for name, value in zip(paper_workloads(), values)
-    )
-    return build_tables(CommBreakdownResult(entries=entries))
-
+format_table = table_formatter(build_tables)
 
 SPEC = register_experiment(
     experiment_id="fig11",
     title="Fig 11: communication time breakdown",
     points=_points,
     point_fn=_point,
-    assemble=_assemble,
+    result=_result,
+    build_tables=build_tables,
 )

@@ -20,8 +20,10 @@ from ..runner.spec import SweepPoint
 from .common import (
     ExperimentTable,
     SCALING_DPU_COUNTS,
-    default_machine,
+    panel_tables,
+    panels,
     scaled_machine,
+    table_formatter,
 )
 
 PANEL_PATTERNS = (Collective.ALL_REDUCE, Collective.ALL_TO_ALL)
@@ -44,6 +46,26 @@ class CollectiveScalingResult:
     speedups: dict[str, tuple[float, ...]]
 
 
+def _points(
+    machine: MachineConfig,
+    patterns: tuple[Collective, ...] = PANEL_PATTERNS,
+    payload_bytes: int = DEFAULT_PAYLOAD_BYTES,
+) -> tuple[SweepPoint, ...]:
+    grid = [(pattern, n) for pattern in patterns for n in SCALING_DPU_COUNTS]
+    return tuple(
+        SweepPoint(
+            i,
+            {
+                "pattern": pattern.value,
+                "num_dpus": n,
+                "payload_bytes": payload_bytes,
+                "backends": _backends_for(pattern),
+            },
+        )
+        for i, (pattern, n) in enumerate(grid)
+    )
+
+
 def _point(
     machine: MachineConfig,
     pattern: str,
@@ -63,33 +85,41 @@ def _point(
     }
 
 
+def _result(
+    machine: MachineConfig,
+    params: tuple[dict, ...],
+    values: tuple[dict[str, float], ...],
+) -> tuple[CollectiveScalingResult, ...]:
+    """One :class:`CollectiveScalingResult` per swept pattern."""
+    return tuple(
+        CollectiveScalingResult(
+            pattern=Collective(pattern),
+            dpu_counts=tuple(p["num_dpus"] for p in panel_params),
+            payload_bytes=panel_params[0]["payload_bytes"],
+            speedups={
+                key: tuple(at_n[key] for at_n in panel_values)
+                for key in panel_params[0]["backends"]
+            },
+        )
+        for pattern, panel_params, panel_values in panels(params, values)
+    )
+
+
 def run(
     pattern: Collective = Collective.ALL_REDUCE,
     machine: MachineConfig | None = None,
     payload_bytes: int = DEFAULT_PAYLOAD_BYTES,
 ) -> CollectiveScalingResult:
-    machine = machine or default_machine()
-    backends = _backends_for(pattern)
-    speedups: dict[str, list[float]] = {k: [] for k in backends}
-    for n in SCALING_DPU_COUNTS:
-        at_n = _point(machine, pattern.value, n, payload_bytes, backends)
-        for key in backends:
-            speedups[key].append(at_n[key])
-    return CollectiveScalingResult(
-        pattern=pattern,
-        dpu_counts=SCALING_DPU_COUNTS,
-        payload_bytes=payload_bytes,
-        speedups={k: tuple(v) for k, v in speedups.items()},
+    (result,) = SPEC.evaluate(
+        machine, patterns=(pattern,), payload_bytes=payload_bytes
     )
+    return result
 
 
 def run_both(
     machine: MachineConfig | None = None,
 ) -> tuple[CollectiveScalingResult, CollectiveScalingResult]:
-    return (
-        run(Collective.ALL_REDUCE, machine),
-        run(Collective.ALL_TO_ALL, machine),
-    )
+    return SPEC.evaluate(machine)
 
 
 def build_tables(
@@ -113,52 +143,13 @@ def build_tables(
     )
 
 
-def format_table(result: CollectiveScalingResult) -> str:
-    return "\n\n".join(t.format() for t in build_tables(result))
-
-
-def _points(machine: MachineConfig) -> tuple[SweepPoint, ...]:
-    points = []
-    for pattern in PANEL_PATTERNS:
-        for n in SCALING_DPU_COUNTS:
-            points.append(
-                SweepPoint(
-                    len(points),
-                    {
-                        "pattern": pattern.value,
-                        "num_dpus": n,
-                        "payload_bytes": DEFAULT_PAYLOAD_BYTES,
-                        "backends": _backends_for(pattern),
-                    },
-                )
-            )
-    return tuple(points)
-
-
-def _assemble(
-    machine: MachineConfig, values: tuple[dict[str, float], ...]
-) -> tuple[ExperimentTable, ...]:
-    tables = []
-    per_panel = len(SCALING_DPU_COUNTS)
-    for i, pattern in enumerate(PANEL_PATTERNS):
-        chunk = values[i * per_panel:(i + 1) * per_panel]
-        backends = _backends_for(pattern)
-        result = CollectiveScalingResult(
-            pattern=pattern,
-            dpu_counts=SCALING_DPU_COUNTS,
-            payload_bytes=DEFAULT_PAYLOAD_BYTES,
-            speedups={
-                key: tuple(at_n[key] for at_n in chunk) for key in backends
-            },
-        )
-        tables.extend(build_tables(result))
-    return tuple(tables)
-
+format_table = table_formatter(build_tables)
 
 SPEC = register_experiment(
     experiment_id="fig12",
     title="Fig 12: collective scalability of all implementations",
     points=_points,
     point_fn=_point,
-    assemble=_assemble,
+    result=_result,
+    build_tables=panel_tables(build_tables),
 )

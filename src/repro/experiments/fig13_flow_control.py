@@ -32,7 +32,7 @@ from ..noc.network import NocNetwork
 from ..noc.workload import run_flow_control_comparison
 from ..runner.registry import register_experiment
 from ..runner.spec import SweepPoint
-from .common import ExperimentTable
+from .common import ExperimentTable, table_formatter
 
 DEFAULTS = {
     "banks": 4,
@@ -58,6 +58,14 @@ class FlowControlResult:
         scheduling wins)."""
         data = self.allreduce if pattern == "allreduce" else self.alltoall
         return 100.0 * (1.0 - data["scheduled"] / data["credit"])
+
+
+def _points(machine: MachineConfig, **overrides) -> tuple[SweepPoint, ...]:
+    params = {**DEFAULTS, **overrides}
+    return tuple(
+        SweepPoint(i, {"pattern": pattern, **params})
+        for i, pattern in enumerate(PATTERNS)
+    )
 
 
 def _point(
@@ -98,29 +106,38 @@ def _point(
     )
 
 
-def run(
-    banks: int = 4,
-    chips: int = 4,
-    ranks: int = 1,
-    elements_per_dpu: int = 256,
-    mean_compute_cycles: float = 2000.0,
-    seed: int = 7,
+def _result(
+    machine: MachineConfig,
+    params: tuple[dict, ...],
+    values: tuple[dict[str, int], ...],
 ) -> FlowControlResult:
-    params = dict(
+    by_pattern = {p["pattern"]: v for p, v in zip(params, values)}
+    first = params[0]
+    return FlowControlResult(
+        shape=Shape(
+            banks=first["banks"], chips=first["chips"], ranks=first["ranks"]
+        ),
+        elements_per_dpu=first["elements_per_dpu"],
+        allreduce=by_pattern["allreduce"],
+        alltoall=by_pattern["alltoall"],
+    )
+
+
+def run(
+    banks: int = DEFAULTS["banks"],
+    chips: int = DEFAULTS["chips"],
+    ranks: int = DEFAULTS["ranks"],
+    elements_per_dpu: int = DEFAULTS["elements_per_dpu"],
+    mean_compute_cycles: float = DEFAULTS["mean_compute_cycles"],
+    seed: int = DEFAULTS["seed"],
+) -> FlowControlResult:
+    return SPEC.evaluate(
         banks=banks,
         chips=chips,
         ranks=ranks,
         elements_per_dpu=elements_per_dpu,
         mean_compute_cycles=mean_compute_cycles,
         seed=seed,
-    )
-    ar = _point(None, "allreduce", **params)
-    a2a = _point(None, "alltoall", **params)
-    return FlowControlResult(
-        shape=Shape(banks=banks, chips=chips, ranks=ranks),
-        elements_per_dpu=elements_per_dpu,
-        allreduce=ar,
-        alltoall=a2a,
     )
 
 
@@ -161,37 +178,13 @@ def build_tables(result: FlowControlResult) -> tuple[ExperimentTable, ...]:
     )
 
 
-def format_table(result: FlowControlResult) -> str:
-    return "\n\n".join(t.format() for t in build_tables(result))
-
-
-def _points(machine: MachineConfig) -> tuple[SweepPoint, ...]:
-    return tuple(
-        SweepPoint(i, {"pattern": pattern, **DEFAULTS})
-        for i, pattern in enumerate(PATTERNS)
-    )
-
-
-def _assemble(
-    machine: MachineConfig, values: tuple[dict[str, int], ...]
-) -> tuple[ExperimentTable, ...]:
-    result = FlowControlResult(
-        shape=Shape(
-            banks=DEFAULTS["banks"],
-            chips=DEFAULTS["chips"],
-            ranks=DEFAULTS["ranks"],
-        ),
-        elements_per_dpu=DEFAULTS["elements_per_dpu"],
-        allreduce=values[0],
-        alltoall=values[1],
-    )
-    return build_tables(result)
-
+format_table = table_formatter(build_tables)
 
 SPEC = register_experiment(
     experiment_id="fig13",
     title="Fig 13: flow-control comparison (cycle-level NoC)",
     points=_points,
     point_fn=_point,
-    assemble=_assemble,
+    result=_result,
+    build_tables=build_tables,
 )

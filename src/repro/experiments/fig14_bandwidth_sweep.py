@@ -16,7 +16,7 @@ from ..collectives.patterns import Collective, CollectiveRequest
 from ..config.presets import MachineConfig
 from ..runner.registry import register_experiment
 from ..runner.spec import SweepPoint
-from .common import ExperimentTable, default_machine
+from .common import ExperimentTable, table_formatter
 
 INTER_BANK_SWEEP_GBS = (0.1, 0.2, 0.3, 0.5, 0.7, 1.0)
 GLOBAL_SCALE_SWEEP = (0.25, 0.5, 1.0, 2.0)
@@ -34,6 +34,22 @@ class BandwidthSweepResult:
 
     def min_interbank_speedup(self) -> float:
         return min(row[2] for row in self.inter_bank)
+
+
+def _points(
+    machine: MachineConfig, payload_bytes: int = DEFAULT_PAYLOAD_BYTES
+) -> tuple[SweepPoint, ...]:
+    settings = (
+        [("dimm_link", 0.0)]
+        + [("inter_bank", gbs) for gbs in INTER_BANK_SWEEP_GBS]
+        + [("global", scale) for scale in GLOBAL_SCALE_SWEEP]
+    )
+    return tuple(
+        SweepPoint(
+            i, {"sweep": sweep, "value": value, "payload_bytes": payload_bytes}
+        )
+        for i, (sweep, value) in enumerate(settings)
+    )
 
 
 def _point(
@@ -67,26 +83,30 @@ def _point(
     return registry.create("P", m).timing(request).total_s
 
 
+def _result(
+    machine: MachineConfig, params: tuple[dict, ...], values: tuple[float, ...]
+) -> BandwidthSweepResult:
+    """Point 0 is the DIMM-Link reference the speedups divide by."""
+    dimm_link = values[0]
+    rows: dict[str, list[tuple[float, float, float]]] = {
+        "inter_bank": [],
+        "global": [],
+    }
+    for p, t in zip(params[1:], values[1:]):
+        rows[p["sweep"]].append((p["value"], t, dimm_link / t))
+    return BandwidthSweepResult(
+        payload_bytes=params[0]["payload_bytes"],
+        dimm_link_time_s=dimm_link,
+        inter_bank=tuple(rows["inter_bank"]),
+        global_bw=tuple(rows["global"]),
+    )
+
+
 def run(
     machine: MachineConfig | None = None,
     payload_bytes: int = DEFAULT_PAYLOAD_BYTES,
 ) -> BandwidthSweepResult:
-    machine = machine or default_machine()
-    dimm_link = _point(machine, "dimm_link", 0.0, payload_bytes)
-    inter_bank = []
-    for gbs in INTER_BANK_SWEEP_GBS:
-        t = _point(machine, "inter_bank", gbs, payload_bytes)
-        inter_bank.append((gbs, t, dimm_link / t))
-    global_bw = []
-    for scale in GLOBAL_SCALE_SWEEP:
-        t = _point(machine, "global", scale, payload_bytes)
-        global_bw.append((scale, t, dimm_link / t))
-    return BandwidthSweepResult(
-        payload_bytes=payload_bytes,
-        dimm_link_time_s=dimm_link,
-        inter_bank=tuple(inter_bank),
-        global_bw=tuple(global_bw),
-    )
+    return SPEC.evaluate(machine, payload_bytes=payload_bytes)
 
 
 def build_tables(result: BandwidthSweepResult) -> tuple[ExperimentTable, ...]:
@@ -118,72 +138,13 @@ def build_tables(result: BandwidthSweepResult) -> tuple[ExperimentTable, ...]:
     return (table_a, table_b)
 
 
-def format_table(result: BandwidthSweepResult) -> str:
-    return "\n\n".join(t.format() for t in build_tables(result))
-
-
-def _points(machine: MachineConfig) -> tuple[SweepPoint, ...]:
-    points = [
-        SweepPoint(
-            0,
-            {
-                "sweep": "dimm_link",
-                "value": 0.0,
-                "payload_bytes": DEFAULT_PAYLOAD_BYTES,
-            },
-        )
-    ]
-    for gbs in INTER_BANK_SWEEP_GBS:
-        points.append(
-            SweepPoint(
-                len(points),
-                {
-                    "sweep": "inter_bank",
-                    "value": gbs,
-                    "payload_bytes": DEFAULT_PAYLOAD_BYTES,
-                },
-            )
-        )
-    for scale in GLOBAL_SCALE_SWEEP:
-        points.append(
-            SweepPoint(
-                len(points),
-                {
-                    "sweep": "global",
-                    "value": scale,
-                    "payload_bytes": DEFAULT_PAYLOAD_BYTES,
-                },
-            )
-        )
-    return tuple(points)
-
-
-def _assemble(
-    machine: MachineConfig, values: tuple[float, ...]
-) -> tuple[ExperimentTable, ...]:
-    dimm_link = values[0]
-    nb = len(INTER_BANK_SWEEP_GBS)
-    inter_bank = tuple(
-        (gbs, t, dimm_link / t)
-        for gbs, t in zip(INTER_BANK_SWEEP_GBS, values[1:1 + nb])
-    )
-    global_bw = tuple(
-        (scale, t, dimm_link / t)
-        for scale, t in zip(GLOBAL_SCALE_SWEEP, values[1 + nb:])
-    )
-    result = BandwidthSweepResult(
-        payload_bytes=DEFAULT_PAYLOAD_BYTES,
-        dimm_link_time_s=dimm_link,
-        inter_bank=inter_bank,
-        global_bw=global_bw,
-    )
-    return build_tables(result)
-
+format_table = table_formatter(build_tables)
 
 SPEC = register_experiment(
     experiment_id="fig14",
     title="Fig 14: channel-bandwidth sweeps",
     points=_points,
     point_fn=_point,
-    assemble=_assemble,
+    result=_result,
+    build_tables=build_tables,
 )

@@ -16,7 +16,7 @@ from ..config.presets import MachineConfig
 from ..runner.registry import register_experiment
 from ..runner.spec import SweepPoint
 from ..workloads import MlpWorkload, NttWorkload, compare_backends
-from .common import ExperimentTable, default_machine
+from .common import ExperimentTable, table_formatter
 
 PROFILES = ("UPMEM", "HBM-PIM", "GDDR6-AiM")
 WORKLOAD_NAMES = ("MLP", "NTT")
@@ -37,6 +37,14 @@ class AltPimResult:
         return row["GDDR6-AiM"] / row["UPMEM"]
 
 
+def _points(machine: MachineConfig) -> tuple[SweepPoint, ...]:
+    grid = [(name, profile) for name in WORKLOAD_NAMES for profile in PROFILES]
+    return tuple(
+        SweepPoint(i, {"workload": name, "profile": profile})
+        for i, (name, profile) in enumerate(grid)
+    )
+
+
 def _point(machine: MachineConfig, workload: str, profile: str) -> float:
     """PIMnet speedup over Baseline at one (workload, compute profile)."""
     m = replace(machine, compute=ALT_PIM_PROFILES[profile])
@@ -44,14 +52,17 @@ def _point(machine: MachineConfig, workload: str, profile: str) -> float:
     return results["P"].speedup_over(results["B"])
 
 
-def run(machine: MachineConfig | None = None) -> AltPimResult:
-    machine = machine or default_machine()
+def _result(
+    machine: MachineConfig, params: tuple[dict, ...], values: tuple[float, ...]
+) -> AltPimResult:
     speedups: dict[str, dict[str, float]] = {}
-    for name in WORKLOAD_NAMES:
-        speedups[name] = {
-            profile: _point(machine, name, profile) for profile in PROFILES
-        }
+    for p, speedup in zip(params, values):
+        speedups.setdefault(p["workload"], {})[p["profile"]] = speedup
     return AltPimResult(speedups=speedups)
+
+
+def run(machine: MachineConfig | None = None) -> AltPimResult:
+    return SPEC.evaluate(machine)
 
 
 def build_tables(result: AltPimResult) -> tuple[ExperimentTable, ...]:
@@ -73,37 +84,13 @@ def build_tables(result: AltPimResult) -> tuple[ExperimentTable, ...]:
     )
 
 
-def format_table(result: AltPimResult) -> str:
-    return "\n\n".join(t.format() for t in build_tables(result))
-
-
-def _points(machine: MachineConfig) -> tuple[SweepPoint, ...]:
-    points = []
-    for name in WORKLOAD_NAMES:
-        for profile in PROFILES:
-            points.append(
-                SweepPoint(
-                    len(points), {"workload": name, "profile": profile}
-                )
-            )
-    return tuple(points)
-
-
-def _assemble(
-    machine: MachineConfig, values: tuple[float, ...]
-) -> tuple[ExperimentTable, ...]:
-    it = iter(values)
-    speedups = {
-        name: {profile: next(it) for profile in PROFILES}
-        for name in WORKLOAD_NAMES
-    }
-    return build_tables(AltPimResult(speedups=speedups))
-
+format_table = table_formatter(build_tables)
 
 SPEC = register_experiment(
     experiment_id="fig15",
     title="Fig 15: alternative PIM compute profiles",
     points=_points,
     point_fn=_point,
-    assemble=_assemble,
+    result=_result,
+    build_tables=build_tables,
 )

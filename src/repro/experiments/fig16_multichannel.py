@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..collectives.patterns import Collective, CollectiveRequest
+from ..collectives.patterns import Collective
 from ..config.presets import MachineConfig
 from ..config.units import transfer_time
 from ..errors import ReproError
@@ -19,7 +19,7 @@ from ..runner.registry import register_experiment
 from ..runner.spec import SweepPoint
 from ..workloads import emb_synth
 from ..workloads.base import CommPhase, ExecutionEngine
-from .common import ExperimentTable, default_machine
+from .common import ExperimentTable, table_formatter
 
 CHANNEL_COUNTS = (1, 2, 4, 8)
 
@@ -43,6 +43,13 @@ def _workload_payload_bytes(machine: MachineConfig) -> int:
                 raise ReproError("EMB should communicate with RS")
             return phase.request.payload_bytes
     raise ReproError("EMB workload has no communication phase")
+
+
+def _points(machine: MachineConfig) -> tuple[SweepPoint, ...]:
+    return tuple(
+        SweepPoint(i, {"channels": k})
+        for i, k in enumerate(CHANNEL_COUNTS)
+    )
 
 
 def _point(machine: MachineConfig, channels: int) -> dict[str, float]:
@@ -74,19 +81,20 @@ def _point(machine: MachineConfig, channels: int) -> dict[str, float]:
     }
 
 
-def run(machine: MachineConfig | None = None) -> MultiChannelResult:
-    machine = machine or default_machine()
-    baseline_times = []
-    pimnet_times = []
-    for k in CHANNEL_COUNTS:
-        at_k = _point(machine, k)
-        baseline_times.append(at_k["baseline"])
-        pimnet_times.append(at_k["pimnet"])
+def _result(
+    machine: MachineConfig,
+    params: tuple[dict, ...],
+    values: tuple[dict[str, float], ...],
+) -> MultiChannelResult:
     return MultiChannelResult(
-        channel_counts=CHANNEL_COUNTS,
-        baseline_s=tuple(baseline_times),
-        pimnet_s=tuple(pimnet_times),
+        channel_counts=tuple(p["channels"] for p in params),
+        baseline_s=tuple(v["baseline"] for v in values),
+        pimnet_s=tuple(v["pimnet"] for v in values),
     )
+
+
+def run(machine: MachineConfig | None = None) -> MultiChannelResult:
+    return SPEC.evaluate(machine)
 
 
 def build_tables(result: MultiChannelResult) -> tuple[ExperimentTable, ...]:
@@ -112,32 +120,13 @@ def build_tables(result: MultiChannelResult) -> tuple[ExperimentTable, ...]:
     )
 
 
-def format_table(result: MultiChannelResult) -> str:
-    return "\n\n".join(t.format() for t in build_tables(result))
-
-
-def _points(machine: MachineConfig) -> tuple[SweepPoint, ...]:
-    return tuple(
-        SweepPoint(i, {"channels": k})
-        for i, k in enumerate(CHANNEL_COUNTS)
-    )
-
-
-def _assemble(
-    machine: MachineConfig, values: tuple[dict[str, float], ...]
-) -> tuple[ExperimentTable, ...]:
-    result = MultiChannelResult(
-        channel_counts=CHANNEL_COUNTS,
-        baseline_s=tuple(v["baseline"] for v in values),
-        pimnet_s=tuple(v["pimnet"] for v in values),
-    )
-    return build_tables(result)
-
+format_table = table_formatter(build_tables)
 
 SPEC = register_experiment(
     experiment_id="fig16",
     title="Fig 16: memory-channel scaling",
     points=_points,
     point_fn=_point,
-    assemble=_assemble,
+    result=_result,
+    build_tables=build_tables,
 )

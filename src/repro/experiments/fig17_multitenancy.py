@@ -6,7 +6,7 @@ from ..analysis.multitenancy import MultiTenancyResult, run_multitenancy
 from ..config.presets import MachineConfig
 from ..runner.registry import register_monolithic
 from ..workloads import CcWorkload, emb_synth
-from .common import ExperimentTable, default_machine
+from .common import ExperimentTable, default_machine, table_formatter
 
 
 def run(machine: MachineConfig | None = None) -> MultiTenancyResult:
@@ -68,8 +68,7 @@ def build_tables(result: MultiTenancyResult) -> tuple[ExperimentTable, ...]:
     return tuple(tables)
 
 
-def format_table(result: MultiTenancyResult) -> str:
-    return "\n\n".join(t.format() for t in build_tables(result))
+format_table = table_formatter(build_tables)
 
 
 SPEC = register_monolithic(

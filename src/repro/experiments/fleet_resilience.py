@@ -53,7 +53,7 @@ from ..observability import (
 )
 from ..runner.registry import register_experiment
 from ..runner.spec import SweepPoint
-from .common import ExperimentTable
+from .common import ExperimentTable, table_formatter
 from .tenant_service_load import TenantSpec
 
 DEFAULTS = {
@@ -294,24 +294,21 @@ def run_trial(
     }
 
 
-def _point(
-    machine: MachineConfig,
-    trial: int,
-    seed: int,
-    shards: int,
-    tenants: int,
-    requests_per_tenant: int,
-    concurrency: int,
-) -> dict[str, Any]:
-    return run_trial(
-        machine,
-        trial=trial,
-        seed=seed,
-        shards=shards,
-        tenants=tenants,
-        requests_per_tenant=requests_per_tenant,
-        concurrency=concurrency,
+def _points(
+    machine: MachineConfig, trials: int = DEFAULTS["trials"], **overrides: Any
+) -> tuple[SweepPoint, ...]:
+    params = {k: v for k, v in DEFAULTS.items() if k != "trials"}
+    params.update(overrides)
+    return tuple(
+        SweepPoint(trial, {"trial": trial, **params})
+        for trial in range(trials)
     )
+
+
+def _result(
+    machine: MachineConfig, params: tuple[dict, ...], values: tuple[dict, ...]
+) -> list[dict[str, Any]]:
+    return list(values)
 
 
 def run(
@@ -320,12 +317,7 @@ def run(
     **kwargs: Any,
 ) -> list[dict[str, Any]]:
     """All trials, serially (the runner parallelizes via the spec)."""
-    from .common import default_machine
-
-    machine = machine or default_machine()
-    return [
-        run_trial(machine, trial=trial, **kwargs) for trial in range(trials)
-    ]
+    return SPEC.evaluate(machine, trials=trials, **kwargs)
 
 
 def build_tables(values: "list[dict] | tuple[dict, ...]") -> tuple[
@@ -426,32 +418,13 @@ def build_tables(values: "list[dict] | tuple[dict, ...]") -> tuple[
     return (load_table, health_table, slo_table)
 
 
-def format_table(values: "list[dict] | tuple[dict, ...]") -> str:
-    return "\n\n".join(t.format() for t in build_tables(values))
-
-
-def _points(machine: MachineConfig) -> tuple[SweepPoint, ...]:
-    params = {
-        name: DEFAULTS[name]
-        for name in ("seed", "shards", "tenants", "requests_per_tenant",
-                     "concurrency")
-    }
-    return tuple(
-        SweepPoint(trial, {"trial": trial, **params})
-        for trial in range(DEFAULTS["trials"])
-    )
-
-
-def _assemble(
-    machine: MachineConfig, values: tuple[dict, ...]
-) -> tuple[ExperimentTable, ...]:
-    return build_tables(values)
-
+format_table = table_formatter(build_tables)
 
 SPEC = register_experiment(
     experiment_id="fleet_resilience",
     title="Fleet resilience: shard kill/revive under multi-tenant load",
     points=_points,
-    point_fn=_point,
-    assemble=_assemble,
+    point_fn=run_trial,
+    result=_result,
+    build_tables=build_tables,
 )

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from ..analysis.hw_overhead import HwOverheadReport, hardware_overhead_report
 from ..runner.registry import register_monolithic
-from .common import ExperimentTable
+from .common import ExperimentTable, table_formatter
 
 
 def run() -> HwOverheadReport:
@@ -59,8 +59,7 @@ def build_tables(report: HwOverheadReport) -> tuple[ExperimentTable, ...]:
     )
 
 
-def format_table(report: HwOverheadReport) -> str:
-    return "\n\n".join(t.format() for t in build_tables(report))
+format_table = table_formatter(build_tables)
 
 
 SPEC = register_monolithic(

@@ -19,7 +19,7 @@ from ..collectives.patterns import Collective, CollectiveRequest
 from ..config.presets import MachineConfig
 from ..runner.registry import register_experiment
 from ..runner.spec import SweepPoint
-from .common import ExperimentTable, default_machine
+from .common import ExperimentTable, panel_tables, panels, table_formatter
 
 PAYLOADS = tuple(256 * (4 ** e) for e in range(7))  # 256 B .. 1 MiB
 BACKENDS = ("B", "S", "D", "P")
@@ -47,6 +47,17 @@ class SizeSweepResult:
         return self.payloads[index], series[index]
 
 
+def _points(
+    machine: MachineConfig,
+    patterns: tuple[Collective, ...] = PANEL_PATTERNS,
+) -> tuple[SweepPoint, ...]:
+    grid = [(pattern, payload) for pattern in patterns for payload in PAYLOADS]
+    return tuple(
+        SweepPoint(i, {"pattern": pattern.value, "payload_bytes": payload})
+        for i, (pattern, payload) in enumerate(grid)
+    )
+
+
 def _point(
     machine: MachineConfig, pattern: str, payload_bytes: int
 ) -> dict[str, float]:
@@ -60,30 +71,37 @@ def _point(
     }
 
 
+def _result(
+    machine: MachineConfig,
+    params: tuple[dict, ...],
+    values: tuple[dict[str, float], ...],
+) -> tuple[SizeSweepResult, ...]:
+    """One :class:`SizeSweepResult` per swept pattern."""
+    return tuple(
+        SizeSweepResult(
+            pattern=Collective(pattern),
+            payloads=tuple(p["payload_bytes"] for p in panel_params),
+            times_s={
+                key: tuple(at_p[key] for at_p in panel_values)
+                for key in BACKENDS
+            },
+        )
+        for pattern, panel_params, panel_values in panels(params, values)
+    )
+
+
 def run(
     pattern: Collective = Collective.ALL_REDUCE,
     machine: MachineConfig | None = None,
 ) -> SizeSweepResult:
-    machine = machine or default_machine()
-    times: dict[str, list[float]] = {k: [] for k in BACKENDS}
-    for payload in PAYLOADS:
-        at_p = _point(machine, pattern.value, payload)
-        for key in BACKENDS:
-            times[key].append(at_p[key])
-    return SizeSweepResult(
-        pattern=pattern,
-        payloads=PAYLOADS,
-        times_s={k: tuple(v) for k, v in times.items()},
-    )
+    (result,) = SPEC.evaluate(machine, patterns=(pattern,))
+    return result
 
 
 def run_both(
     machine: MachineConfig | None = None,
 ) -> tuple[SizeSweepResult, SizeSweepResult]:
-    return (
-        run(Collective.ALL_REDUCE, machine),
-        run(Collective.ALL_TO_ALL, machine),
-    )
+    return SPEC.evaluate(machine)
 
 
 def build_tables(result: SizeSweepResult) -> tuple[ExperimentTable, ...]:
@@ -117,45 +135,13 @@ def build_tables(result: SizeSweepResult) -> tuple[ExperimentTable, ...]:
     )
 
 
-def format_table(result: SizeSweepResult) -> str:
-    return "\n\n".join(t.format() for t in build_tables(result))
-
-
-def _points(machine: MachineConfig) -> tuple[SweepPoint, ...]:
-    points = []
-    for pattern in PANEL_PATTERNS:
-        for payload in PAYLOADS:
-            points.append(
-                SweepPoint(
-                    len(points),
-                    {"pattern": pattern.value, "payload_bytes": payload},
-                )
-            )
-    return tuple(points)
-
-
-def _assemble(
-    machine: MachineConfig, values: tuple[dict[str, float], ...]
-) -> tuple[ExperimentTable, ...]:
-    tables = []
-    per_panel = len(PAYLOADS)
-    for i, pattern in enumerate(PANEL_PATTERNS):
-        chunk = values[i * per_panel:(i + 1) * per_panel]
-        result = SizeSweepResult(
-            pattern=pattern,
-            payloads=PAYLOADS,
-            times_s={
-                key: tuple(at_p[key] for at_p in chunk) for key in BACKENDS
-            },
-        )
-        tables.extend(build_tables(result))
-    return tuple(tables)
-
+format_table = table_formatter(build_tables)
 
 SPEC = register_experiment(
     experiment_id="size_sweep",
     title="Size sweep: message-size sensitivity",
     points=_points,
     point_fn=_point,
-    assemble=_assemble,
+    result=_result,
+    build_tables=panel_tables(build_tables),
 )

@@ -28,7 +28,7 @@ from ..noc.network import NocNetwork
 from ..noc.simulator import NocSimulator
 from ..runner.registry import register_experiment
 from ..runner.spec import SweepPoint
-from .common import ExperimentTable
+from .common import ExperimentTable, table_formatter
 
 INJECTION_RATES = (0.001, 0.005, 0.02, 0.1, 0.5)
 DEFAULTS = {
@@ -132,6 +132,14 @@ def high_load_workload(
     )
 
 
+def _points(machine: MachineConfig, **overrides) -> tuple[SweepPoint, ...]:
+    params = {**DEFAULTS, **overrides}
+    return tuple(
+        SweepPoint(i, {"rate": rate, **params})
+        for i, rate in enumerate(INJECTION_RATES)
+    )
+
+
 def _point(
     machine: MachineConfig,
     rate: float,
@@ -154,39 +162,38 @@ def _point(
     }
 
 
+def _result(
+    machine: MachineConfig, params: tuple[dict, ...], values: tuple[dict, ...]
+) -> LoadLatencyResult:
+    first = params[0]
+    return LoadLatencyResult(
+        shape=Shape(first["banks"], first["chips"], first["ranks"]),
+        rates=tuple(p["rate"] for p in params),
+        mean_latency_cycles=tuple(v["mean_latency"] for v in values),
+        completion_cycles=tuple(v["cycles"] for v in values),
+    )
+
+
 def run(
-    banks: int = 2,
-    chips: int = 2,
-    ranks: int = 2,
-    messages_per_dpu: int = 10,
-    flits_per_message: int = 4,
-    seed: int = 5,
+    banks: int = DEFAULTS["banks"],
+    chips: int = DEFAULTS["chips"],
+    ranks: int = DEFAULTS["ranks"],
+    messages_per_dpu: int = DEFAULTS["messages_per_dpu"],
+    flits_per_message: int = DEFAULTS["flits_per_message"],
+    seed: int = DEFAULTS["seed"],
 ) -> LoadLatencyResult:
     """Sweep injection rate for uniform-random traffic.
 
     ``rate`` is messages per DPU per 100 cycles; arrival times are
     deterministic per seed so the sweep is reproducible.
     """
-    latencies = []
-    completions = []
-    for rate in INJECTION_RATES:
-        at_rate = _point(
-            None,
-            rate,
-            banks=banks,
-            chips=chips,
-            ranks=ranks,
-            messages_per_dpu=messages_per_dpu,
-            flits_per_message=flits_per_message,
-            seed=seed,
-        )
-        latencies.append(at_rate["mean_latency"])
-        completions.append(at_rate["cycles"])
-    return LoadLatencyResult(
-        shape=Shape(banks, chips, ranks),
-        rates=INJECTION_RATES,
-        mean_latency_cycles=tuple(latencies),
-        completion_cycles=tuple(completions),
+    return SPEC.evaluate(
+        banks=banks,
+        chips=chips,
+        ranks=ranks,
+        messages_per_dpu=messages_per_dpu,
+        flits_per_message=flits_per_message,
+        seed=seed,
     )
 
 
@@ -214,35 +221,13 @@ def build_tables(result: LoadLatencyResult) -> tuple[ExperimentTable, ...]:
     )
 
 
-def format_table(result: LoadLatencyResult) -> str:
-    return "\n\n".join(t.format() for t in build_tables(result))
-
-
-def _points(machine: MachineConfig) -> tuple[SweepPoint, ...]:
-    return tuple(
-        SweepPoint(i, {"rate": rate, **DEFAULTS})
-        for i, rate in enumerate(INJECTION_RATES)
-    )
-
-
-def _assemble(
-    machine: MachineConfig, values: tuple[dict, ...]
-) -> tuple[ExperimentTable, ...]:
-    result = LoadLatencyResult(
-        shape=Shape(
-            DEFAULTS["banks"], DEFAULTS["chips"], DEFAULTS["ranks"]
-        ),
-        rates=INJECTION_RATES,
-        mean_latency_cycles=tuple(v["mean_latency"] for v in values),
-        completion_cycles=tuple(v["cycles"] for v in values),
-    )
-    return build_tables(result)
-
+format_table = table_formatter(build_tables)
 
 SPEC = register_experiment(
     experiment_id="noc_load_latency",
     title="NoC load-latency study (cycle-level)",
     points=_points,
     point_fn=_point,
-    assemble=_assemble,
+    result=_result,
+    build_tables=build_tables,
 )

@@ -18,7 +18,7 @@ from ..config.presets import MachineConfig
 from ..faults.campaign import run_campaign
 from ..runner.registry import register_experiment
 from ..runner.spec import SweepPoint
-from .common import ExperimentTable
+from .common import ExperimentTable, table_formatter
 
 SEVERITIES = (1.0, 1.5, 2.0, 4.0, 8.0)
 DEFAULTS = {
@@ -51,6 +51,14 @@ class StragglerTailResult:
         return self.p99s[-1] / self.p50s[-1]
 
 
+def _points(machine: MachineConfig, **overrides) -> tuple[SweepPoint, ...]:
+    params = {**DEFAULTS, **overrides}
+    return tuple(
+        SweepPoint(i, {"severity": severity, **params})
+        for i, severity in enumerate(SEVERITIES)
+    )
+
+
 def _point(
     machine: MachineConfig,
     severity: float,
@@ -81,6 +89,18 @@ def _point(
     }
 
 
+def _result(
+    machine: MachineConfig, params: tuple[dict, ...], values: tuple[dict, ...]
+) -> StragglerTailResult:
+    return StragglerTailResult(
+        severities=tuple(p["severity"] for p in params),
+        p50s=tuple(v["p50"] for v in values),
+        p99s=tuple(v["p99"] for v in values),
+        p999s=tuple(v["p999"] for v in values),
+        degraded_fractions=tuple(v["degraded_fraction"] for v in values),
+    )
+
+
 def run(
     machine: MachineConfig | None = None,
     seed: int = DEFAULTS["seed"],
@@ -88,23 +108,12 @@ def run(
     payload_bytes: int = DEFAULTS["payload_bytes"],
     straggler_rate: float = DEFAULTS["straggler_rate"],
 ) -> StragglerTailResult:
-    from .common import default_machine
-
-    machine = machine or default_machine()
-    values = [
-        _point(machine, s, seed, trials, payload_bytes, straggler_rate)
-        for s in SEVERITIES
-    ]
-    return _result(values)
-
-
-def _result(values) -> StragglerTailResult:
-    return StragglerTailResult(
-        severities=SEVERITIES,
-        p50s=tuple(v["p50"] for v in values),
-        p99s=tuple(v["p99"] for v in values),
-        p999s=tuple(v["p999"] for v in values),
-        degraded_fractions=tuple(v["degraded_fraction"] for v in values),
+    return SPEC.evaluate(
+        machine,
+        seed=seed,
+        trials=trials,
+        payload_bytes=payload_bytes,
+        straggler_rate=straggler_rate,
     )
 
 
@@ -145,27 +154,13 @@ def build_tables(result: StragglerTailResult) -> tuple[ExperimentTable, ...]:
     )
 
 
-def format_table(result: StragglerTailResult) -> str:
-    return "\n\n".join(t.format() for t in build_tables(result))
-
-
-def _points(machine: MachineConfig) -> tuple[SweepPoint, ...]:
-    return tuple(
-        SweepPoint(i, {"severity": severity, **DEFAULTS})
-        for i, severity in enumerate(SEVERITIES)
-    )
-
-
-def _assemble(
-    machine: MachineConfig, values: tuple[dict, ...]
-) -> tuple[ExperimentTable, ...]:
-    return build_tables(_result(values))
-
+format_table = table_formatter(build_tables)
 
 SPEC = register_experiment(
     experiment_id="straggler_tail",
     title="Straggler tail-latency study (resilience)",
     points=_points,
     point_fn=_point,
-    assemble=_assemble,
+    result=_result,
+    build_tables=build_tables,
 )

@@ -8,7 +8,7 @@ from ..config.network import PimnetNetworkConfig, TierLinkConfig
 from ..config.presets import MachineConfig
 from ..config.units import GB
 from ..runner.registry import register_monolithic
-from .common import ExperimentTable, default_machine
+from .common import ExperimentTable, default_machine, table_formatter
 
 
 @dataclass(frozen=True)
@@ -90,8 +90,7 @@ def build_tables(result: TiersResult) -> tuple[ExperimentTable, ...]:
     )
 
 
-def format_table(result: TiersResult) -> str:
-    return "\n\n".join(t.format() for t in build_tables(result))
+format_table = table_formatter(build_tables)
 
 
 SPEC = register_monolithic(

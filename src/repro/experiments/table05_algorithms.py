@@ -5,7 +5,7 @@ from __future__ import annotations
 from ..collectives.patterns import Collective
 from ..core.collectives import PIMNET_ALGORITHMS, algorithm_chain
 from ..runner.registry import register_monolithic
-from .common import ExperimentTable
+from .common import ExperimentTable, table_formatter
 
 
 def run() -> dict[Collective, str]:
@@ -28,8 +28,7 @@ def build_tables(result: dict[Collective, str]) -> tuple[ExperimentTable, ...]:
     )
 
 
-def format_table(result: dict[Collective, str]) -> str:
-    return "\n\n".join(t.format() for t in build_tables(result))
+format_table = table_formatter(build_tables)
 
 
 SPEC = register_monolithic(

@@ -41,7 +41,7 @@ from ..observability import (
 )
 from ..runner.registry import register_monolithic
 from ..service import SERVICE_SUBSTRATE, CollectiveService, ServiceResponse
-from .common import ExperimentTable, default_machine
+from .common import ExperimentTable, default_machine, table_formatter
 
 DEFAULTS = {
     "tenants": 4,
@@ -344,8 +344,7 @@ def build_tables(result: TenantServiceLoadResult) -> tuple[ExperimentTable, ...]
     return (load_table, slo_table)
 
 
-def format_table(result: TenantServiceLoadResult) -> str:
-    return "\n\n".join(t.format() for t in build_tables(result))
+format_table = table_formatter(build_tables)
 
 
 SPEC = register_monolithic(

@@ -5,6 +5,8 @@ Three pieces:
 * :mod:`repro.runner.registry` — every figure/table driver registers an
   :class:`ExperimentSpec` describing its sweep as independent points
   (pure functions of a :class:`MachineConfig` plus JSON-able params);
+  the spec is the experiment's only definition, and the driver's
+  ``run()`` evaluates it in process (:meth:`ExperimentSpec.evaluate`);
 * :mod:`repro.runner.executor` — runs the points serially or over a
   ``ProcessPoolExecutor`` (``RunnerConfig.jobs``), with per-point
   timeouts and deterministic index-ordered reassembly into

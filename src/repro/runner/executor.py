@@ -33,7 +33,7 @@ from ..observability.metrics import (
 )
 from .cache import ResultCache, cache_key, code_fingerprint
 from .registry import REGISTRY
-from .spec import ExperimentSpec, SweepPoint
+from .spec import ExperimentSpec, SweepPoint, index_ordered_params
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from ..config.presets import MachineConfig
@@ -61,7 +61,9 @@ class ExperimentRun:
     seed: int | None = None
 
     def format(self) -> str:
-        return "\n\n".join(table.format() for table in self.tables)
+        from ..experiments.common import format_tables
+
+        return format_tables(self.tables)
 
 
 def run_experiment(
@@ -123,7 +125,9 @@ def run_experiment(
             if cache is not None:
                 cache.put(experiment_id, key, value, params=point.params)
 
-    tables = tuple(spec.assemble(machine, tuple(values)))
+    tables = tuple(
+        spec.assemble(machine, index_ordered_params(points), tuple(values))
+    )
     metric_counter("runner.experiments").inc()
     metric_counter("runner.points").inc(len(points))
     return ExperimentRun(

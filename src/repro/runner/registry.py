@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from ..errors import RunnerError
-from .spec import ExperimentSpec, SweepPoint, monolithic_spec
+from .spec import ExperimentSpec, monolithic_spec, swept_spec
 
 
 class RunnerRegistry:
@@ -65,27 +65,10 @@ def ensure_experiments_loaded() -> None:
     import repro.experiments  # noqa: F401
 
 
-def register_experiment(
-    *,
-    experiment_id: str,
-    title: str,
-    points: Callable[..., tuple[SweepPoint, ...]],
-    point_fn: Callable[..., Any],
-    assemble: Callable[..., tuple],
-    worker_import: str | None = None,
-) -> ExperimentSpec:
-    """Build and register a swept experiment (idempotent on re-import)."""
-    return REGISTRY.register(
-        ExperimentSpec(
-            experiment_id=experiment_id,
-            title=title,
-            points=points,
-            point_fn=point_fn,
-            assemble=assemble,
-            worker_import=worker_import,
-        ),
-        replace=True,
-    )
+def register_experiment(**fields: Any) -> ExperimentSpec:
+    """Build (see :func:`swept_spec`) and register a swept experiment,
+    idempotently on re-import."""
+    return REGISTRY.register(swept_spec(**fields), replace=True)
 
 
 def register_monolithic(

@@ -8,13 +8,18 @@ An :class:`ExperimentSpec` wraps one figure/table driver as
 * ``point_fn(machine, **params)`` — computes one point and returns a
   JSON-serializable value (so results can live in the on-disk cache and
   cross process boundaries losslessly);
-* ``assemble(machine, values)`` — deterministically reassembles the
-  point values (ordered by ``SweepPoint.index``, *never* by completion
-  order) into the experiment's :class:`ExperimentTable` tuple.
+* ``assemble(machine, params, values)`` — deterministically reassembles
+  the point params and values (ordered by ``SweepPoint.index``, *never*
+  by completion order) into the experiment's :class:`ExperimentTable`
+  tuple.
 
-Experiments with no natural sweep decomposition register through
-:func:`monolithic_spec`: a single point whose value is the serialized
-tables themselves.
+A swept experiment registers through :func:`swept_spec`: it supplies
+``result(machine, params, values)``, which builds its result object,
+and ``build_tables(result)``; ``assemble`` is their composition, and
+:meth:`ExperimentSpec.evaluate` runs the same sweep in process for the
+module's ``run()``.  Experiments with no natural sweep decomposition
+register through :func:`monolithic_spec`: a single point whose value is
+the serialized tables themselves.
 """
 
 from __future__ import annotations
@@ -49,15 +54,47 @@ class ExperimentSpec:
 
     experiment_id: str
     title: str
-    points: Callable[["MachineConfig"], tuple[SweepPoint, ...]]
+    #: ``points(machine, **overrides)``; the registered sweep is the
+    #: call without overrides.
+    points: Callable[..., tuple[SweepPoint, ...]]
     point_fn: Callable[..., Any]
     assemble: Callable[
-        ["MachineConfig", tuple[Any, ...]], tuple["ExperimentTable", ...]
+        ["MachineConfig", tuple[dict[str, Any], ...], tuple[Any, ...]],
+        tuple["ExperimentTable", ...],
     ]
     #: Module imported in worker processes before resolving the spec —
     #: only needed for specs registered outside ``repro.experiments``
     #: under a non-``fork`` multiprocessing start method.
     worker_import: str | None = None
+    #: Swept experiments only: ``result(machine, params, values)`` turns
+    #: index-ordered point params and values into the result object the
+    #: module's ``run()`` returns.
+    result: Callable[..., Any] | None = None
+
+    def evaluate(
+        self, machine: "MachineConfig | None" = None, **overrides: Any
+    ) -> Any:
+        """Run the sweep in this process, serially, with no result cache.
+
+        ``overrides`` go to ``points``; point errors propagate as
+        raised.  Returns ``result(...)`` of the computed values.
+        """
+        if machine is None:
+            from ..experiments.common import default_machine
+
+            machine = default_machine()
+        params = index_ordered_params(self.points(machine, **overrides))
+        values = tuple(self.point_fn(machine, **p) for p in params)
+        return self.result(machine, params, values)
+
+
+def index_ordered_params(
+    points: tuple[SweepPoint, ...],
+) -> tuple[dict[str, Any], ...]:
+    """Point params in ``SweepPoint.index`` order (the values' order)."""
+    return tuple(
+        point.params for point in sorted(points, key=lambda p: p.index)
+    )
 
 
 _CELL_TYPES = (str, int, float, bool, type(None))
@@ -106,6 +143,35 @@ def tables_from_jsonable(data: list[dict[str, Any]]) -> tuple[
     return tuple(table_from_jsonable(d) for d in data)
 
 
+def swept_spec(
+    experiment_id: str,
+    title: str,
+    points: Callable[..., tuple[SweepPoint, ...]],
+    point_fn: Callable[..., Any],
+    result: Callable[..., Any],
+    build_tables: Callable[[Any], tuple["ExperimentTable", ...]],
+    worker_import: str | None = None,
+) -> ExperimentSpec:
+    """A sweep whose tables are ``build_tables(result(...))``."""
+
+    def _assemble(
+        machine: "MachineConfig",
+        params: tuple[dict[str, Any], ...],
+        values: tuple[Any, ...],
+    ) -> tuple["ExperimentTable", ...]:
+        return tuple(build_tables(result(machine, params, values)))
+
+    return ExperimentSpec(
+        experiment_id=experiment_id,
+        title=title,
+        points=points,
+        point_fn=point_fn,
+        assemble=_assemble,
+        worker_import=worker_import,
+        result=result,
+    )
+
+
 def monolithic_spec(
     experiment_id: str,
     title: str,
@@ -125,7 +191,9 @@ def monolithic_spec(
         return tables_to_jsonable(build_tables(run_fn(machine)))
 
     def _assemble(
-        machine: "MachineConfig", values: tuple[Any, ...]
+        machine: "MachineConfig",
+        params: tuple[dict[str, Any], ...],
+        values: tuple[Any, ...],
     ) -> tuple["ExperimentTable", ...]:
         return tables_from_jsonable(values[0])
 

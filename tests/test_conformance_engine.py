@@ -107,6 +107,7 @@ class TestConformanceConfig:
         {"latency_min_ratio": 1.5},
         {"latency_abs_slack_cycles": float("inf")},
         {"seed": -1},
+        {"latency_rel_tol": True},
     ])
     def test_bad_tolerances_rejected(self, kwargs):
         with pytest.raises(ConformanceError):

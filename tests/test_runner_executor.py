@@ -50,7 +50,7 @@ def _square_point(machine, x):
     return {"x": x, "square": x * x, "pid": os.getpid()}
 
 
-def _square_assemble(machine, values):
+def _square_assemble(machine, params, values):
     rows = tuple((v["x"], v["square"]) for v in values)
     return (
         ExperimentTable("Toy", "squares", ("x", "x^2"), rows),

@@ -35,6 +35,8 @@ class TestTimeSlotConfig:
             TimeSlotConfig("w", time_window_s=0.0)
         with pytest.raises(ConfigurationError, match="finite"):
             TimeSlotConfig("w", time_window_s=float("inf"))
+        with pytest.raises(ConfigurationError, match="finite"):
+            TimeSlotConfig("w", time_window_s="0.001")
 
     def test_rejects_bad_multiplexing(self):
         with pytest.raises(ConfigurationError, match="max_multiplexing"):
@@ -68,6 +70,9 @@ class TestServiceConfig:
             ServiceConfig(
                 slots=(TimeSlotConfig("s"),), switch_time_s=-1e-6
             )
+        for bad in (float("nan"), "0.001"):
+            with pytest.raises(ConfigurationError, match="finite"):
+                ServiceConfig(slots=(TimeSlotConfig("s"),), switch_time_s=bad)
 
     def test_rejects_bad_queue_limit(self):
         with pytest.raises(ConfigurationError, match="queue_limit"):
