@@ -718,11 +718,11 @@ def cmd_service(args: argparse.Namespace) -> int:
 
 def cmd_fleet(args: argparse.Namespace) -> int:
     """``repro fleet serve|bench|status``: the sharded fleet layer."""
-    from .experiments import fleet_resilience
+    from .experiments import fleet_resilience, tenant_service_load
     from .fleet import ShardHealth, fleet_assignment, shard_ranking
 
     if args.fleet_command == "status":
-        tenants = fleet_resilience.tenant_names(args.tenants)
+        tenants = tenant_service_load.tenant_names(args.tenants)
         assignment = fleet_assignment(tenants, args.shards)
         down = set(args.kill_shard or ())
         for shard in down:
@@ -1005,6 +1005,43 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_CACHE_DIR,
         help=f"cache location (default: {DEFAULT_CACHE_DIR})",
     )
+    metrics_flag = argparse.ArgumentParser(add_help=False)
+    metrics_flag.add_argument(
+        "--metrics",
+        metavar="PATH",
+        default=None,
+        help="write collected metrics to PATH (.csv for CSV, .prom or .txt "
+        "for Prometheus, else JSON)",
+    )
+    instrument_flags = argparse.ArgumentParser(
+        add_help=False, parents=[metrics_flag]
+    )
+    instrument_flags.add_argument(
+        "--trace",
+        metavar="PATH",
+        default=None,
+        help="write a Chrome trace-event JSON of the run to PATH",
+    )
+    # The service and fleet drivers: instrumentation, an SLO file, and a
+    # wall-clock bound that turns a deadlocked event loop into an error.
+    serve_flags = argparse.ArgumentParser(
+        add_help=False, parents=[instrument_flags]
+    )
+    serve_flags.add_argument(
+        "--slo",
+        metavar="PATH",
+        default=None,
+        help="evaluate extra SLO objectives from a JSON file "
+        "(requires --metrics); nonzero exit on violation",
+    )
+    serve_flags.add_argument(
+        "--timeout",
+        type=float,
+        default=120.0,
+        metavar="SECONDS",
+        help="hard wall-clock bound; a deadlocked event loop fails "
+        "fast (default: 120)",
+    )
 
     p_list = sub.add_parser(
         "list", help="enumerate experiments", parents=[json_flag]
@@ -1012,7 +1049,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_list.set_defaults(func=cmd_list)
 
     p_run = sub.add_parser(
-        "run", help="run one experiment (or 'all')", parents=[cache_dir_flag]
+        "run",
+        help="run one experiment (or 'all')",
+        parents=[cache_dir_flag, instrument_flags],
     )
     p_run.add_argument("experiment", help="experiment id, e.g. fig10")
     p_run.add_argument(
@@ -1049,18 +1088,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="override the 'seed' param of every seeded sweep point; "
         "recorded in the run output and trace metadata",
-    )
-    p_run.add_argument(
-        "--trace",
-        metavar="PATH",
-        default=None,
-        help="write a Chrome trace-event JSON of the run to PATH",
-    )
-    p_run.add_argument(
-        "--metrics",
-        metavar="PATH",
-        default=None,
-        help="write collected metrics to PATH (.csv for CSV, else JSON)",
     )
     p_run.set_defaults(func=cmd_run)
 
@@ -1132,6 +1159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace = sub.add_parser(
         "trace",
         help="trace one collective and export spans/metrics",
+        parents=[metrics_flag],
     )
     p_trace.add_argument(
         "collective",
@@ -1152,12 +1180,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         default=None,
         help="write a Chrome trace-event JSON (Perfetto-loadable) to PATH",
-    )
-    p_trace.add_argument(
-        "--metrics",
-        metavar="PATH",
-        default=None,
-        help="write collected metrics to PATH (.csv for CSV, else JSON)",
     )
     p_trace.add_argument(
         "--clock",
@@ -1184,7 +1206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_faults_list.set_defaults(func=cmd_faults)
     p_faults_run = faults_sub.add_parser(
         "run", help="run one campaign (preset name or JSON spec file)",
-        parents=[json_flag],
+        parents=[json_flag, metrics_flag],
     )
     p_faults_run.add_argument(
         "campaign",
@@ -1212,14 +1234,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the payload, e.g. 64KB or 1MB (binary units)",
     )
     p_faults_run.add_argument(
-        "--metrics",
-        metavar="PATH",
-        default=None,
-        help="write the final metrics snapshot (counters + latency "
-        "histograms) to PATH (.csv for CSV, .prom for Prometheus, "
-        "else JSON)",
-    )
-    p_faults_run.add_argument(
         "--slo",
         metavar="PATH",
         default=None,
@@ -1239,7 +1253,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_conf_run = conf_sub.add_parser(
         "run", help="run the full conformance matrix",
-        parents=[json_flag, cache_dir_flag],
+        parents=[json_flag, cache_dir_flag, metrics_flag],
     )
     p_conf_run.add_argument(
         "--seed",
@@ -1283,13 +1297,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=".",
         help="where to write JSON reproducers for failing points "
         "(default: current directory)",
-    )
-    p_conf_run.add_argument(
-        "--metrics",
-        metavar="PATH",
-        default=None,
-        help="write the final metrics snapshot to PATH "
-        "(.csv for CSV, .prom for Prometheus, else JSON)",
     )
     p_conf_run.set_defaults(func=cmd_conformance)
     p_conf_list = conf_sub.add_parser(
@@ -1439,27 +1446,8 @@ def build_parser() -> argparse.ArgumentParser:
             help="per-tenant admissions per slot occurrence (default: 4)",
         )
         parser.add_argument(
-            "--timeout", type=float, default=120.0, metavar="SECONDS",
-            help="hard wall-clock bound; a deadlocked event loop fails "
-            "fast (default: 120)",
-        )
-        parser.add_argument(
             "--json", action="store_true",
             help="emit the full report as JSON",
-        )
-        parser.add_argument(
-            "--trace", metavar="PATH", default=None,
-            help="write a Chrome trace-event JSON of the run to PATH",
-        )
-        parser.add_argument(
-            "--metrics", metavar="PATH", default=None,
-            help="write collected metrics to PATH (.csv for CSV, else "
-            "JSON)",
-        )
-        parser.add_argument(
-            "--slo", metavar="PATH", default=None,
-            help="evaluate extra SLO objectives from a JSON file "
-            "(requires --metrics); nonzero exit on violation",
         )
         parser.set_defaults(func=cmd_service)
 
@@ -1473,11 +1461,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_service_bench = service_sub.add_parser(
         "bench",
         help="closed-loop tenant load through the time-slot scheduler",
+        parents=[serve_flags],
     )
     _service_options(p_service_bench)
     # `repro serve` is the short spelling of `repro service bench`.
     p_serve = sub.add_parser(
-        "serve", help="alias for 'service bench'"
+        "serve", help="alias for 'service bench'", parents=[serve_flags]
     )
     _service_options(p_serve)
 
@@ -1531,25 +1520,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="extra shards to try after the first choice "
             "(default: 2)",
         )
-        parser.add_argument(
-            "--timeout", type=float, default=120.0, metavar="SECONDS",
-            help="hard wall-clock bound; a deadlocked event loop fails "
-            "fast (default: 120)",
-        )
-        parser.add_argument(
-            "--trace", metavar="PATH", default=None,
-            help="write a Chrome trace-event JSON of the run to PATH",
-        )
-        parser.add_argument(
-            "--metrics", metavar="PATH", default=None,
-            help="write collected metrics (fleet.* families included) "
-            "to PATH (.csv for CSV, else JSON)",
-        )
-        parser.add_argument(
-            "--slo", metavar="PATH", default=None,
-            help="evaluate extra SLO objectives from a JSON file "
-            "(requires --metrics); nonzero exit on violation",
-        )
         parser.set_defaults(func=cmd_fleet)
 
     p_fleet = sub.add_parser(
@@ -1560,11 +1530,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_fleet_bench = fleet_sub.add_parser(
         "bench",
         help="closed-loop fleet load with an optional mid-run shard kill",
+        parents=[serve_flags],
     )
     _fleet_bench_options(p_fleet_bench)
     # `repro fleet serve` is the long-lived spelling of `fleet bench`.
     p_fleet_serve = fleet_sub.add_parser(
-        "serve", help="alias for 'fleet bench'"
+        "serve", help="alias for 'fleet bench'", parents=[serve_flags]
     )
     _fleet_bench_options(p_fleet_serve)
     p_fleet_status = fleet_sub.add_parser(

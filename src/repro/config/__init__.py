@@ -3,6 +3,21 @@
 The defaults throughout this package reproduce the paper's evaluated
 system (Tables II, IV, and VI); experiments construct variations through
 the dataclasses' ``replace``-style helpers rather than by mutation.
+
+Every config dataclass follows one declarative schema
+(:mod:`repro.config.schema`).  Each field declares its constraint once,
+as ``dataclasses.field`` metadata: an int, a finite real, a bool, a
+string, a member of a fixed set, or a tuple whose entries meet their own
+constraint, with closed or open bounds and optionally ``None``.  One
+validator checks every field when an instance is built and raises the
+class's own error type (:class:`~repro.errors.ConfigurationError`,
+:class:`~repro.errors.FaultConfigError` or
+:class:`~repro.errors.ConformanceError`) naming the field.  Rules that
+span several fields live in the class's own ``__post_init__``, after the
+field checks.  The JSON specs (service, fleet, fault and conformance)
+share one ``as_dict``/``from_dict`` pair that follows the field
+annotations, rejects unknown keys and wrong-typed values, and takes
+defaults from the fields.
 """
 
 from . import units

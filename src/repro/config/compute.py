@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from ..errors import ConfigurationError
+from .schema import Validated, real, text
 
 
 class Op(Enum):
@@ -51,7 +52,7 @@ UPMEM_OP_COSTS: dict[Op, float] = {
 
 
 @dataclass(frozen=True)
-class ComputeProfile:
+class ComputeProfile(Validated):
     """Per-PIM-implementation compute model.
 
     ``throughput_scale`` multiplies the effective rate at which arithmetic
@@ -60,21 +61,18 @@ class ComputeProfile:
     system identical.
     """
 
-    name: str
+    name: str = text()
     op_costs: dict[Op, float] = field(
         default_factory=lambda: dict(UPMEM_OP_COSTS)
     )
-    throughput_scale: float = 1.0
+    throughput_scale: float = real(1.0, gt=0)
     #: Internal bank-to-compute bandwidth relative to the UPMEM
     #: MRAM<->WRAM DMA; PIMs with hardware MACs also have much wider
     #: internal datapaths (HBM-PIM/AiM stream operands at bank width).
-    memory_scale: float = 1.0
+    memory_scale: float = real(1.0, gt=0)
 
     def __post_init__(self) -> None:
-        if self.throughput_scale <= 0:
-            raise ConfigurationError("throughput_scale must be positive")
-        if self.memory_scale <= 0:
-            raise ConfigurationError("memory_scale must be positive")
+        super().__post_init__()
         missing = [op for op in Op if op not in self.op_costs]
         if missing:
             raise ConfigurationError(f"op_costs missing entries for {missing}")

@@ -17,11 +17,12 @@ Component names follow the NoC router convention:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, replace
+from typing import Any
 
 from ..errors import FaultConfigError
+from .schema import JsonConfig, integer, real, text, tuple_of
 from .system import PimSystemConfig
-from .units import is_finite_number
 
 #: Fault kinds the engine knows how to sample and inject.
 FAULT_KINDS = (
@@ -44,8 +45,12 @@ _RATE_FIELDS = (
 )
 
 
+def _rate() -> Any:
+    return real(0.0, ge=0, le=1, what="a probability in [0, 1]")
+
+
 @dataclass(frozen=True)
-class FaultModelConfig:
+class FaultModelConfig(JsonConfig):
     """Per-tier fault rates and severities for one campaign.
 
     Rates are independent per-component probabilities; severities are
@@ -55,63 +60,35 @@ class FaultModelConfig:
     """
 
     #: Probability a bank (DPU) is dead for the whole run (fail-stop).
-    bank_fail_stop_rate: float = 0.0
+    bank_fail_stop_rate: float = _rate()
     #: Probability a bank is a straggler (slow but alive).
-    bank_straggler_rate: float = 0.0
+    bank_straggler_rate: float = _rate()
     #: Timing-jitter multiplier for the slowest straggler (>= 1).
-    straggler_severity: float = 1.0
+    straggler_severity: float = real(1.0, ge=1)
     #: Probability a chip's DQ link has failed outright.
-    chip_link_fail_rate: float = 0.0
+    chip_link_fail_rate: float = _rate()
     #: Probability a chip's DQ link is degraded (marginal pins).
-    chip_link_degrade_rate: float = 0.0
+    chip_link_degrade_rate: float = _rate()
     #: Serialization multiplier on a degraded link (>= 1).
-    chip_link_degrade_factor: float = 2.0
+    chip_link_degrade_factor: float = real(2.0, ge=1)
     #: Probability the inter-rank bus stalls during the collective.
-    rank_bus_stall_rate: float = 0.0
+    rank_bus_stall_rate: float = _rate()
     #: Duration of one bus stall, in seconds.
-    rank_bus_stall_s: float = 1e-6
+    rank_bus_stall_s: float = real(1e-6, ge=0)
     #: Per-flit transient corruption probability.
-    flit_corruption_rate: float = 0.0
+    flit_corruption_rate: float = _rate()
     #: Detection + retransmission cost of one corrupted flit, in flit
     #: serialization times.
-    retry_penalty_flits: int = 2
+    retry_penalty_flits: int = integer(2, ge=0)
     #: READY/START sync-tree timeout (seconds); a fail-stopped bank is
     #: detected when its READY never arrives within this window.
-    sync_timeout_s: float = 100e-6
+    sync_timeout_s: float = real(100e-6, gt=0)
     #: Abort retries: how many timeout rounds the controller spends
     #: before declaring the collective aborted.
-    max_retries: int = 3
+    max_retries: int = integer(3, ge=0)
 
-    def __post_init__(self) -> None:
-        for name in _RATE_FIELDS:
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise FaultConfigError(
-                    f"{name} must be a probability in [0, 1], got {value}"
-                )
-        for name in ("straggler_severity", "chip_link_degrade_factor"):
-            value = getattr(self, name)
-            if not is_finite_number(value) or value < 1.0:
-                raise FaultConfigError(
-                    f"{name} is a slowdown multiplier and must be >= 1, "
-                    f"got {value}"
-                )
-        if not is_finite_number(self.rank_bus_stall_s) or (
-            self.rank_bus_stall_s < 0
-        ):
-            raise FaultConfigError(
-                f"rank_bus_stall_s must be >= 0, got {self.rank_bus_stall_s}"
-            )
-        if self.retry_penalty_flits < 0:
-            raise FaultConfigError("retry_penalty_flits must be >= 0")
-        if not is_finite_number(self.sync_timeout_s) or (
-            self.sync_timeout_s <= 0
-        ):
-            raise FaultConfigError(
-                f"sync_timeout_s must be positive, got {self.sync_timeout_s}"
-            )
-        if self.max_retries < 0:
-            raise FaultConfigError("max_retries must be >= 0")
+    _error = FaultConfigError
+    _label = "fault model"
 
     @property
     def fault_free(self) -> bool:
@@ -127,8 +104,6 @@ class FaultModelConfig:
         """
         if rate_factor < 0:
             raise FaultConfigError("rate_factor must be >= 0")
-        from dataclasses import replace
-
         return replace(
             self,
             **{
@@ -137,22 +112,9 @@ class FaultModelConfig:
             },
         )
 
-    def as_dict(self) -> dict[str, float | int]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultModelConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise FaultConfigError(
-                f"unknown fault model field(s): {', '.join(unknown)}"
-            )
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class FaultCampaignConfig:
+class FaultCampaignConfig(JsonConfig):
     """One resilience campaign: a fault model plus how to exercise it.
 
     A campaign is reproducible from ``(seed, machine config, this
@@ -163,25 +125,21 @@ class FaultCampaignConfig:
     (checked by :meth:`validate_for`).
     """
 
-    name: str
+    name: str = text(nonempty=True)
     model: FaultModelConfig = field(default_factory=FaultModelConfig)
-    seed: int = 0
-    trials: int = 32
-    payload_bytes: int = 1 << 20
-    collective: str = "all_reduce"
-    backend: str = "P"
-    targets: tuple[str, ...] = ()
-    description: str = ""
+    seed: int = integer(0, ge=0)
+    trials: int = integer(32, ge=1)
+    payload_bytes: int = integer(1 << 20, ge=1)
+    collective: str = text("all_reduce")
+    backend: str = text("P")
+    targets: tuple[str, ...] = tuple_of(text(), ())
+    description: str = text("")
+
+    _error = FaultConfigError
+    _label = "campaign"
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise FaultConfigError("campaign name must be non-empty")
-        if self.seed < 0:
-            raise FaultConfigError("seed must be >= 0")
-        if self.trials < 1:
-            raise FaultConfigError("a campaign needs at least one trial")
-        if self.payload_bytes < 1:
-            raise FaultConfigError("payload_bytes must be positive")
+        super().__post_init__()
         for target in self.targets:
             _parse_target(target)
 
@@ -214,28 +172,6 @@ class FaultCampaignConfig:
                         f"coordinate {value} out of range [0, {limit}) "
                         f"on axis {axis} of the machine topology"
                     )
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultCampaignConfig":
-        """Build a campaign from its JSON file form (``docs/FAULTS.md``)."""
-        if not isinstance(data, dict):
-            raise FaultConfigError("campaign spec must be a JSON object")
-        payload = dict(data)
-        model = payload.pop("model", {})
-        if not isinstance(model, dict):
-            raise FaultConfigError("campaign 'model' must be an object")
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise FaultConfigError(
-                f"unknown campaign field(s): {', '.join(unknown)}"
-            )
-        if "targets" in payload:
-            payload["targets"] = tuple(payload["targets"])
-        try:
-            return cls(model=FaultModelConfig.from_dict(model), **payload)
-        except TypeError as exc:
-            raise FaultConfigError(f"invalid campaign spec: {exc}") from exc
 
 
 def _parse_target(target: str) -> tuple[str, tuple[int, ...]]:

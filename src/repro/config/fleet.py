@@ -18,10 +18,10 @@ Everything here is JSON-round-trippable and eagerly validated, matching
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping
 
 from ..errors import ConfigurationError
 from .faults import FaultModelConfig
+from .schema import JsonConfig, integer, text, tuple_of
 from .service import ServiceConfig, default_service_config
 
 __all__ = [
@@ -33,7 +33,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ShardOutageConfig:
+class ShardOutageConfig(JsonConfig):
     """One deterministic fault-injection window against one shard.
 
     The trigger is the *fleet* submission counter, not wall or simulated
@@ -41,36 +41,17 @@ class ShardOutageConfig:
     regardless of event-loop interleaving.
     """
 
-    shard: int
-    after_submissions: int
+    shard: int = integer(ge=0)
+    after_submissions: int = integer(ge=0)
     #: 0 means the shard stays out for the rest of the run.
-    duration_submissions: int = 0
+    duration_submissions: int = integer(0, ge=0)
     #: Sampled against the shard's machine; the all-banks fail-stop
     #: default makes the sampled set fatal, i.e. a hard kill.
     model: FaultModelConfig = field(
         default_factory=lambda: FaultModelConfig(bank_fail_stop_rate=1.0)
     )
-    seed: int = 0
-    targets: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.shard, int) or self.shard < 0:
-            raise ConfigurationError(
-                f"outage shard must be an int >= 0, got {self.shard!r}"
-            )
-        for attr in ("after_submissions", "duration_submissions"):
-            value = getattr(self, attr)
-            if not isinstance(value, int) or value < 0:
-                raise ConfigurationError(
-                    f"outage {attr} must be an int >= 0, got {value!r}"
-                )
-        if not isinstance(self.seed, int):
-            raise ConfigurationError(
-                f"outage seed must be an int, got {self.seed!r}"
-            )
-        object.__setattr__(
-            self, "targets", tuple(str(t) for t in self.targets)
-        )
+    seed: int = integer(0)
+    targets: tuple[str, ...] = tuple_of(text(), ())
 
     @property
     def revive_at(self) -> int | None:
@@ -79,30 +60,9 @@ class ShardOutageConfig:
             return None
         return self.after_submissions + self.duration_submissions
 
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "shard": self.shard,
-            "after_submissions": self.after_submissions,
-            "duration_submissions": self.duration_submissions,
-            "model": self.model.as_dict(),
-            "seed": self.seed,
-            "targets": list(self.targets),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ShardOutageConfig":
-        return cls(
-            shard=int(data["shard"]),
-            after_submissions=int(data["after_submissions"]),
-            duration_submissions=int(data.get("duration_submissions", 0)),
-            model=FaultModelConfig.from_dict(dict(data.get("model", {}))),
-            seed=int(data.get("seed", 0)),
-            targets=tuple(data.get("targets", ())),
-        )
-
 
 @dataclass(frozen=True)
-class FleetConfig:
+class FleetConfig(JsonConfig):
     """N identical service shards behind the rendezvous router.
 
     ``max_reroutes`` bounds how many *additional* shards the router may
@@ -111,58 +71,28 @@ class FleetConfig:
     as the primary assignment.
     """
 
-    shards: int = 3
+    shards: int = integer(3, ge=1)
     service: ServiceConfig = field(default_factory=default_service_config)
-    max_reroutes: int = 2
-    outages: tuple[ShardOutageConfig, ...] = ()
+    max_reroutes: int = integer(2, ge=0)
+    outages: tuple[ShardOutageConfig, ...] = tuple_of(default=())
 
     def __post_init__(self) -> None:
-        if not isinstance(self.shards, int) or self.shards < 1:
-            raise ConfigurationError(
-                f"fleet shards must be an int >= 1, got {self.shards!r}"
-            )
-        if not isinstance(self.max_reroutes, int) or self.max_reroutes < 0:
-            raise ConfigurationError(
-                f"max_reroutes must be an int >= 0, got {self.max_reroutes!r}"
-            )
-        outages = tuple(self.outages)
-        for outage in outages:
+        super().__post_init__()
+        for outage in self.outages:
             if outage.shard >= self.shards:
                 raise ConfigurationError(
                     f"outage targets shard {outage.shard} but the fleet "
                     f"has only {self.shards} shard(s)"
                 )
-        if len({o.shard for o in outages}) != len(outages):
+        if len({o.shard for o in self.outages}) != len(self.outages):
             raise ConfigurationError(
                 "at most one outage plan per shard is supported"
             )
         object.__setattr__(
             self,
             "outages",
-            tuple(sorted(outages, key=lambda o: (o.after_submissions,
-                                                 o.shard))),
-        )
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "shards": self.shards,
-            "service": self.service.as_dict(),
-            "max_reroutes": self.max_reroutes,
-            "outages": [o.as_dict() for o in self.outages],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FleetConfig":
-        return cls(
-            shards=int(data.get("shards", 3)),
-            service=ServiceConfig.from_dict(
-                data.get("service", default_service_config().as_dict())
-            ),
-            max_reroutes=int(data.get("max_reroutes", 2)),
-            outages=tuple(
-                ShardOutageConfig.from_dict(o)
-                for o in data.get("outages", ())
-            ),
+            tuple(sorted(self.outages, key=lambda o: (o.after_submissions,
+                                                      o.shard))),
         )
 
 

@@ -19,39 +19,20 @@ from dataclasses import dataclass, replace
 
 from ..errors import ConfigurationError
 from . import units
+from .schema import Validated, flag, integer, real, text
 
 
 @dataclass(frozen=True)
-class TierLinkConfig:
+class TierLinkConfig(Validated):
     """One PIMnet tier's physical-channel parameters (one row of Table IV)."""
 
-    name: str
-    num_channels: int
-    width_bits: int
-    bandwidth_per_channel_bytes_per_s: float
-    hop_latency_s: float
-    half_duplex: bool = False
-    broadcast_capable: bool = False
-
-    def __post_init__(self) -> None:
-        if self.num_channels < 1:
-            raise ConfigurationError(f"{self.name}: need >= 1 channel")
-        if self.width_bits < 1:
-            raise ConfigurationError(f"{self.name}: width must be positive")
-        if not units.is_finite_number(
-            self.bandwidth_per_channel_bytes_per_s
-        ) or self.bandwidth_per_channel_bytes_per_s <= 0:
-            raise ConfigurationError(
-                f"{self.name}: bandwidth must be positive, "
-                f"got {self.bandwidth_per_channel_bytes_per_s}"
-            )
-        if not units.is_finite_number(self.hop_latency_s) or (
-            self.hop_latency_s < 0
-        ):
-            raise ConfigurationError(
-                f"{self.name}: latency must be >= 0, "
-                f"got {self.hop_latency_s}"
-            )
+    name: str = text()
+    num_channels: int = integer(ge=1)
+    width_bits: int = integer(ge=1)
+    bandwidth_per_channel_bytes_per_s: float = real(gt=0)
+    hop_latency_s: float = real(ge=0)
+    half_duplex: bool = flag(False)
+    broadcast_capable: bool = flag(False)
 
     @property
     def link_bandwidth_bytes_per_s(self) -> float:
@@ -66,7 +47,7 @@ class TierLinkConfig:
 
 
 @dataclass(frozen=True)
-class PimnetNetworkConfig:
+class PimnetNetworkConfig(Validated):
     """Full PIMnet fabric configuration (Table IV plus sync parameters)."""
 
     inter_bank: TierLinkConfig = TierLinkConfig(
@@ -94,36 +75,17 @@ class PimnetNetworkConfig:
     )
     # Worst-case READY/START propagation across the whole fabric (paper:
     # ~15 ns, about 6 DPU cycles at 350 MHz).
-    sync_latency_s: float = 15 * units.NS
+    sync_latency_s: float = real(15 * units.NS, ge=0)
     # Efficiency of point-to-point (unicast) transfers on the multi-drop
     # inter-rank bus.  Unlike the long reduction/broadcast streams of
     # AllReduce, All-to-All's rank tier issues many short rank-pair
     # bursts, each paying bus ownership turnaround; Section V-C's
     # "approximately 2x improvement" framing corresponds to roughly half
     # the raw bus rate being achievable for unicast traffic.
-    inter_rank_unicast_efficiency: float = 0.5
+    inter_rank_unicast_efficiency: float = real(0.5, gt=0, le=1)
     # MRAM<->WRAM DMA bandwidth per DPU, used for the "Mem" component of
     # Fig 11 when a payload does not fit in WRAM and must be staged.
-    mram_wram_dma_bytes_per_s: float = 0.63 * units.GB
-
-    def __post_init__(self) -> None:
-        if not units.is_finite_number(self.sync_latency_s) or (
-            self.sync_latency_s < 0
-        ):
-            raise ConfigurationError(
-                f"sync latency must be >= 0, got {self.sync_latency_s}"
-            )
-        if not units.is_finite_number(self.mram_wram_dma_bytes_per_s) or (
-            self.mram_wram_dma_bytes_per_s <= 0
-        ):
-            raise ConfigurationError(
-                f"DMA bandwidth must be positive, "
-                f"got {self.mram_wram_dma_bytes_per_s}"
-            )
-        if not 0 < self.inter_rank_unicast_efficiency <= 1:
-            raise ConfigurationError(
-                "inter_rank_unicast_efficiency must be in (0, 1]"
-            )
+    mram_wram_dma_bytes_per_s: float = real(0.63 * units.GB, gt=0)
 
     def with_inter_bank_bandwidth(self, gb_per_s: float) -> "PimnetNetworkConfig":
         """Copy with a different inter-bank channel bandwidth (Fig 14a)."""
@@ -157,30 +119,17 @@ class PimnetNetworkConfig:
 
 
 @dataclass(frozen=True)
-class HostLinkConfig:
+class HostLinkConfig(Validated):
     """Host <-> PIM channel bandwidths measured on real UPMEM [39]."""
 
-    pim_to_cpu_bytes_per_s: float = 4.74 * units.GB
-    cpu_to_pim_bytes_per_s: float = 6.68 * units.GB
-    cpu_to_pim_broadcast_bytes_per_s: float = 16.88 * units.GB
-    max_channel_bytes_per_s: float = 19.2 * units.GB
-
-    def __post_init__(self) -> None:
-        for name in (
-            "pim_to_cpu_bytes_per_s",
-            "cpu_to_pim_bytes_per_s",
-            "cpu_to_pim_broadcast_bytes_per_s",
-            "max_channel_bytes_per_s",
-        ):
-            value = getattr(self, name)
-            if not units.is_finite_number(value) or value <= 0:
-                raise ConfigurationError(
-                    f"{name} must be positive, got {value}"
-                )
+    pim_to_cpu_bytes_per_s: float = real(4.74 * units.GB, gt=0)
+    cpu_to_pim_bytes_per_s: float = real(6.68 * units.GB, gt=0)
+    cpu_to_pim_broadcast_bytes_per_s: float = real(16.88 * units.GB, gt=0)
+    max_channel_bytes_per_s: float = real(19.2 * units.GB, gt=0)
 
 
 @dataclass(frozen=True)
-class BufferChipConfig:
+class BufferChipConfig(Validated):
     """Buffer-chip link used by DIMM-Link [89] and NDPBridge [85].
 
     Banks of one rank reach their buffer chip over a shared 19.2 GB/s link;
@@ -189,29 +138,11 @@ class BufferChipConfig:
     fair-comparison assumption.
     """
 
-    bank_to_buffer_bytes_per_s: float = 19.2 * units.GB
+    bank_to_buffer_bytes_per_s: float = real(19.2 * units.GB, gt=0)
     #: One DRAM chip's DQ share of the internal DIMM bus.  PIM data is
     #: not striped across chips, so the buffer chip's sequential
     #: collective stream moves at one chip's width regardless of how
     #: many chips the rank has.
-    chip_dq_bytes_per_s: float = 2.4 * units.GB
-    inter_rank_link_bytes_per_s: float = 16.8 * units.GB
-    hop_latency_s: float = 10 * units.NS
-
-    def __post_init__(self) -> None:
-        for name in (
-            "bank_to_buffer_bytes_per_s",
-            "chip_dq_bytes_per_s",
-            "inter_rank_link_bytes_per_s",
-        ):
-            value = getattr(self, name)
-            if not units.is_finite_number(value) or value <= 0:
-                raise ConfigurationError(
-                    f"{name} must be positive, got {value}"
-                )
-        if not units.is_finite_number(self.hop_latency_s) or (
-            self.hop_latency_s < 0
-        ):
-            raise ConfigurationError(
-                f"hop latency must be >= 0, got {self.hop_latency_s}"
-            )
+    chip_dq_bytes_per_s: float = real(2.4 * units.GB, gt=0)
+    inter_rank_link_bytes_per_s: float = real(16.8 * units.GB, gt=0)
+    hop_latency_s: float = real(10 * units.NS, ge=0)

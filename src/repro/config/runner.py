@@ -9,15 +9,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import ConfigurationError
-from .units import is_finite_number
+from .schema import Validated, flag, integer, real, text
 
 #: Default on-disk cache location (kept in sync with repro.runner.cache).
 DEFAULT_CACHE_DIR = ".repro-cache"
 
 
 @dataclass(frozen=True)
-class RunnerConfig:
+class RunnerConfig(Validated):
     """How to execute an experiment's sweep points.
 
     ``jobs`` is the process fan-out (1 = in-process serial execution);
@@ -26,21 +25,7 @@ class RunnerConfig:
     path, which cannot preempt a running point).
     """
 
-    jobs: int = 1
-    cache_enabled: bool = True
-    cache_dir: str = DEFAULT_CACHE_DIR
-    point_timeout_s: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.jobs < 1:
-            raise ConfigurationError(f"jobs must be >= 1, got {self.jobs}")
-        if self.point_timeout_s is not None and (
-            not is_finite_number(self.point_timeout_s)
-            or self.point_timeout_s <= 0
-        ):
-            raise ConfigurationError(
-                f"point_timeout_s must be positive, got "
-                f"{self.point_timeout_s}"
-            )
-        if not self.cache_dir:
-            raise ConfigurationError("cache_dir must be non-empty")
+    jobs: int = integer(1, ge=1)
+    cache_enabled: bool = flag(True)
+    cache_dir: str = text(DEFAULT_CACHE_DIR, nonempty=True)
+    point_timeout_s: float | None = real(None, gt=0, optional=True)

@@ -18,10 +18,10 @@ values) so configs stay JSON-serializable and this module stays below
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Sequence
 
 from ..errors import ConfigurationError
-from .units import is_finite_number
+from .schema import JsonConfig, integer, member, real, text, tuple_of
 
 __all__ = [
     "KNOWN_PATTERNS",
@@ -42,11 +42,10 @@ KNOWN_PATTERNS = (
     "reduce",
     "gather",
 )
-_KNOWN = frozenset(KNOWN_PATTERNS)
 
 
 @dataclass(frozen=True)
-class TimeSlotConfig:
+class TimeSlotConfig(JsonConfig):
     """One slot of the admission cycle.
 
     ``patterns`` lists the collective patterns the slot accepts (empty
@@ -55,58 +54,20 @@ class TimeSlotConfig:
     distinct schedule structures admitted into one occurrence.
     """
 
-    name: str
-    patterns: tuple[str, ...] = ()
-    time_window_s: float = 1e-3
-    max_multiplexing: int = 1
+    name: str = text(nonempty=True)
+    patterns: tuple[str, ...] = tuple_of(
+        member(KNOWN_PATTERNS, "pattern"), (), unique=True
+    )
+    time_window_s: float = real(1e-3, gt=0)
+    max_multiplexing: int = integer(1, ge=1)
 
     def __post_init__(self) -> None:
-        if not self.name or not isinstance(self.name, str):
-            raise ConfigurationError("time slot name must be a non-empty string")
-        object.__setattr__(self, "patterns", tuple(self.patterns))
-        for pattern in self.patterns:
-            if pattern not in _KNOWN:
-                raise ConfigurationError(
-                    f"slot {self.name!r} names unknown pattern {pattern!r}; "
-                    f"known patterns: {', '.join(KNOWN_PATTERNS)}"
-                )
-        if len(set(self.patterns)) != len(self.patterns):
-            raise ConfigurationError(
-                f"slot {self.name!r} lists a pattern more than once"
-            )
-        window = self.time_window_s
-        if not is_finite_number(window) or window <= 0:
-            raise ConfigurationError(
-                f"slot {self.name!r} time_window_s must be finite and > 0, "
-                f"got {window!r}"
-            )
-        object.__setattr__(self, "time_window_s", float(window))
-        if not isinstance(self.max_multiplexing, int) or self.max_multiplexing < 1:
-            raise ConfigurationError(
-                f"slot {self.name!r} max_multiplexing must be an int >= 1, "
-                f"got {self.max_multiplexing!r}"
-            )
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "patterns": list(self.patterns),
-            "time_window_s": self.time_window_s,
-            "max_multiplexing": self.max_multiplexing,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "TimeSlotConfig":
-        return cls(
-            name=str(data["name"]),
-            patterns=tuple(data.get("patterns", ())),
-            time_window_s=data.get("time_window_s", 1e-3),
-            max_multiplexing=int(data.get("max_multiplexing", 1)),
-        )
+        super().__post_init__()
+        object.__setattr__(self, "time_window_s", float(self.time_window_s))
 
 
 @dataclass(frozen=True)
-class TenantQuotaConfig:
+class TenantQuotaConfig(JsonConfig):
     """Per-tenant admission limits.
 
     ``max_queued`` bounds how many of one tenant's requests may wait in
@@ -115,30 +76,12 @@ class TenantQuotaConfig:
     many of the tenant's requests one slot occurrence may serve.
     """
 
-    max_queued: int = 64
-    max_per_slot: int = 8
-
-    def __post_init__(self) -> None:
-        for attr in ("max_queued", "max_per_slot"):
-            value = getattr(self, attr)
-            if not isinstance(value, int) or value < 1:
-                raise ConfigurationError(
-                    f"tenant quota {attr} must be an int >= 1, got {value!r}"
-                )
-
-    def as_dict(self) -> dict[str, Any]:
-        return {"max_queued": self.max_queued, "max_per_slot": self.max_per_slot}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "TenantQuotaConfig":
-        return cls(
-            max_queued=int(data.get("max_queued", 64)),
-            max_per_slot=int(data.get("max_per_slot", 8)),
-        )
+    max_queued: int = integer(64, ge=1)
+    max_per_slot: int = integer(8, ge=1)
 
 
 @dataclass(frozen=True)
-class ServiceConfig:
+class ServiceConfig(JsonConfig):
     """The admission cycle plus global and per-tenant backpressure.
 
     ``switch_time_s`` is the dead time between consecutive slots (fabric
@@ -148,33 +91,24 @@ class ServiceConfig:
     admission queue across all tenants.
     """
 
-    slots: tuple[TimeSlotConfig, ...]
-    switch_time_s: float = 50e-6
-    queue_limit: int = 256
+    slots: tuple[TimeSlotConfig, ...] = tuple_of(nonempty=True)
+    switch_time_s: float = real(50e-6, ge=0)
+    queue_limit: int = integer(256, ge=1)
     default_quota: TenantQuotaConfig = field(default_factory=TenantQuotaConfig)
     #: (tenant name, quota) overrides, kept as a sorted tuple of pairs
     #: so the config stays hashable and canonically serializable.
-    tenant_quotas: tuple[tuple[str, TenantQuotaConfig], ...] = ()
+    tenant_quotas: tuple[tuple[str, TenantQuotaConfig], ...] = tuple_of(
+        default=()
+    )
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "slots", tuple(self.slots))
-        if not self.slots:
-            raise ConfigurationError("service needs at least one time slot")
+        super().__post_init__()
         names = [slot.name for slot in self.slots]
         if len(set(names)) != len(names):
             raise ConfigurationError(
                 f"slot names must be unique, got {names}"
             )
-        switch = self.switch_time_s
-        if not is_finite_number(switch) or switch < 0:
-            raise ConfigurationError(
-                f"switch_time_s must be finite and >= 0, got {switch!r}"
-            )
-        object.__setattr__(self, "switch_time_s", float(switch))
-        if not isinstance(self.queue_limit, int) or self.queue_limit < 1:
-            raise ConfigurationError(
-                f"queue_limit must be an int >= 1, got {self.queue_limit!r}"
-            )
+        object.__setattr__(self, "switch_time_s", float(self.switch_time_s))
         quotas = tuple(sorted(
             ((str(tenant), quota) for tenant, quota in self.tenant_quotas),
             key=lambda pair: pair[0],
@@ -199,37 +133,6 @@ class ServiceConfig:
             if name == tenant:
                 return quota
         return self.default_quota
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "slots": [slot.as_dict() for slot in self.slots],
-            "switch_time_s": self.switch_time_s,
-            "queue_limit": self.queue_limit,
-            "default_quota": self.default_quota.as_dict(),
-            "tenant_quotas": {
-                tenant: quota.as_dict()
-                for tenant, quota in self.tenant_quotas
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ServiceConfig":
-        return cls(
-            slots=tuple(
-                TimeSlotConfig.from_dict(slot) for slot in data["slots"]
-            ),
-            switch_time_s=data.get("switch_time_s", 50e-6),
-            queue_limit=int(data.get("queue_limit", 256)),
-            default_quota=TenantQuotaConfig.from_dict(
-                data.get("default_quota", {})
-            ),
-            tenant_quotas=tuple(
-                (tenant, TenantQuotaConfig.from_dict(quota))
-                for tenant, quota in dict(
-                    data.get("tenant_quotas", {})
-                ).items()
-            ),
-        )
 
 
 def default_service_config(

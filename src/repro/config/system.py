@@ -12,10 +12,11 @@ from dataclasses import dataclass, field
 
 from ..errors import ConfigurationError
 from . import units
+from .schema import Validated, integer, real
 
 
 @dataclass(frozen=True)
-class DpuConfig:
+class DpuConfig(Validated):
     """Per-DPU microarchitecture parameters (UPMEM DPU defaults).
 
     ``pipeline_depth`` and ``min_tasklets_full_throughput`` encode the
@@ -24,35 +25,21 @@ class DpuConfig:
     with bubbles.
     """
 
-    frequency_hz: float = 350 * units.MHZ
-    pipeline_depth: int = 14
-    num_hw_tasklets: int = 24
-    min_tasklets_full_throughput: int = 11
-    wram_bytes: int = 64 * units.KIB
-    iram_bytes: int = 24 * units.KIB
-    mram_bytes: int = 64 * units.MIB
+    frequency_hz: float = real(350 * units.MHZ, gt=0)
+    pipeline_depth: int = integer(14, ge=1)
+    num_hw_tasklets: int = integer(24, ge=1)
+    min_tasklets_full_throughput: int = integer(11, ge=1)
+    wram_bytes: int = integer(64 * units.KIB, ge=1)
+    iram_bytes: int = integer(24 * units.KIB, ge=1)
+    mram_bytes: int = integer(64 * units.MIB, ge=1)
 
     def __post_init__(self) -> None:
-        if not units.is_finite_number(self.frequency_hz) or (
-            self.frequency_hz <= 0
-        ):
-            raise ConfigurationError(
-                f"DPU frequency must be a positive finite number, "
-                f"got {self.frequency_hz}"
-            )
-        if self.num_hw_tasklets < 1:
-            raise ConfigurationError("a DPU needs at least one tasklet")
-        if not 1 <= self.min_tasklets_full_throughput <= self.num_hw_tasklets:
+        super().__post_init__()
+        if self.min_tasklets_full_throughput > self.num_hw_tasklets:
             raise ConfigurationError(
                 "min_tasklets_full_throughput must lie within "
                 f"[1, {self.num_hw_tasklets}]"
             )
-        for name in ("wram_bytes", "iram_bytes", "mram_bytes"):
-            value = getattr(self, name)
-            if not units.is_finite_number(value) or value <= 0:
-                raise ConfigurationError(
-                    f"{name} must be positive, got {value}"
-                )
 
     @property
     def cycle_time_s(self) -> float:
@@ -61,7 +48,7 @@ class DpuConfig:
 
 
 @dataclass(frozen=True)
-class PimSystemConfig:
+class PimSystemConfig(Validated):
     """Shape of the PIM system: banks/chips/ranks/channels.
 
     Defaults correspond to the paper's simulated system (Table VI):
@@ -69,22 +56,11 @@ class PimSystemConfig:
     DPUs per memory channel, the scope of one PIMnet instance.
     """
 
-    banks_per_chip: int = 8
-    chips_per_rank: int = 8
-    ranks_per_channel: int = 4
-    num_channels: int = 1
+    banks_per_chip: int = integer(8, ge=1)
+    chips_per_rank: int = integer(8, ge=1)
+    ranks_per_channel: int = integer(4, ge=1)
+    num_channels: int = integer(1, ge=1)
     dpu: DpuConfig = field(default_factory=DpuConfig)
-
-    def __post_init__(self) -> None:
-        for name in (
-            "banks_per_chip",
-            "chips_per_rank",
-            "ranks_per_channel",
-            "num_channels",
-        ):
-            value = getattr(self, name)
-            if not units.is_finite_number(value) or value < 1:
-                raise ConfigurationError(f"{name} must be >= 1, got {value}")
 
     # -- derived counts -----------------------------------------------------
     @property
@@ -140,7 +116,7 @@ class PimSystemConfig:
 
 
 @dataclass(frozen=True)
-class HostConfig:
+class HostConfig(Validated):
     """Host CPU model used for host-mediated (baseline) collectives.
 
     The reduce bandwidth is the sustained rate at which the host can combine
@@ -149,37 +125,9 @@ class HostConfig:
     removes entirely).
     """
 
-    num_cores: int = 16
-    frequency_hz: float = 4 * units.GHZ
-    reduce_bandwidth_bytes_per_s: float = 25 * units.GB
-    kernel_launch_overhead_s: float = 20 * units.US
-    transfer_setup_overhead_s: float = 10 * units.US
-    per_rank_transfer_overhead_s: float = 2 * units.US
-
-    def __post_init__(self) -> None:
-        if self.num_cores < 1:
-            raise ConfigurationError("host needs at least one core")
-        if not units.is_finite_number(self.frequency_hz) or (
-            self.frequency_hz <= 0
-        ):
-            raise ConfigurationError(
-                f"host frequency must be a positive finite number, "
-                f"got {self.frequency_hz}"
-            )
-        if not units.is_finite_number(
-            self.reduce_bandwidth_bytes_per_s
-        ) or self.reduce_bandwidth_bytes_per_s <= 0:
-            raise ConfigurationError(
-                f"host reduce bandwidth must be positive, "
-                f"got {self.reduce_bandwidth_bytes_per_s}"
-            )
-        for name in (
-            "kernel_launch_overhead_s",
-            "transfer_setup_overhead_s",
-            "per_rank_transfer_overhead_s",
-        ):
-            value = getattr(self, name)
-            if not units.is_finite_number(value) or value < 0:
-                raise ConfigurationError(
-                    f"{name} must be non-negative, got {value}"
-                )
+    num_cores: int = integer(16, ge=1)
+    frequency_hz: float = real(4 * units.GHZ, gt=0)
+    reduce_bandwidth_bytes_per_s: float = real(25 * units.GB, gt=0)
+    kernel_launch_overhead_s: float = real(20 * units.US, ge=0)
+    transfer_setup_overhead_s: float = real(10 * units.US, ge=0)
+    per_rank_transfer_overhead_s: float = real(2 * units.US, ge=0)

@@ -12,13 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import ConfigurationError
+from .schema import Validated, flag, member, text
 
 #: Valid values for :attr:`TraceConfig.clock`.
 TRACE_CLOCKS = ("auto", "sim", "wall")
 
 
 @dataclass(frozen=True)
-class TraceConfig:
+class TraceConfig(Validated):
     """What to record during a run, and where to write it.
 
     ``enabled`` turns span tracing on; ``metrics`` turns the metrics
@@ -28,18 +29,14 @@ class TraceConfig:
     or ``"auto"`` (simulated where a span has a window, wall otherwise).
     """
 
-    enabled: bool = False
-    metrics: bool = False
-    clock: str = "auto"
-    trace_path: str | None = None
-    metrics_path: str | None = None
+    enabled: bool = flag(False)
+    metrics: bool = flag(False)
+    clock: str = member(TRACE_CLOCKS, "trace clock", "auto")
+    trace_path: str | None = text(None, optional=True)
+    metrics_path: str | None = text(None, optional=True)
 
     def __post_init__(self) -> None:
-        if self.clock not in TRACE_CLOCKS:
-            raise ConfigurationError(
-                f"trace clock must be one of {TRACE_CLOCKS}, "
-                f"got {self.clock!r}"
-            )
+        super().__post_init__()
         if self.trace_path is not None and not self.enabled:
             raise ConfigurationError(
                 "trace_path set but tracing is disabled"

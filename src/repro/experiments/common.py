@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import asyncio
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Coroutine, Iterable
 
 from ..config.presets import MachineConfig, pimnet_sim_system
 from ..errors import ReproError
@@ -124,3 +125,30 @@ def default_machine() -> MachineConfig:
 
 #: DPU counts for the weak-scaling sweeps of Figs 3 and 12.
 SCALING_DPU_COUNTS = (8, 16, 32, 64, 128, 256)
+
+
+def run_bounded(
+    coroutine: Coroutine[Any, Any, Any],
+    timeout_s: float | None,
+    error: type[ReproError],
+    label: str,
+) -> Any:
+    """``asyncio.run(coroutine)``, bounded by ``timeout_s`` of wall clock.
+
+    The serving experiments run on a simulated clock, so the bound only
+    catches a stalled event loop: it fails loudly with ``error`` instead
+    of hanging.  ``None`` means no bound.
+    """
+    if timeout_s is None:
+        return asyncio.run(coroutine)
+
+    async def bounded() -> Any:
+        return await asyncio.wait_for(coroutine, timeout_s)
+
+    try:
+        return asyncio.run(bounded())
+    except asyncio.TimeoutError:
+        raise error(
+            f"{label} did not finish within {timeout_s:g}s of wall clock "
+            "— the event loop is likely deadlocked"
+        ) from None

@@ -23,19 +23,11 @@ byte-identical serial, parallel, and warm-cache.
 from __future__ import annotations
 
 import asyncio
-import random
 from typing import Any
 
-import numpy as np
-
-from ..collectives.patterns import Collective, CollectiveRequest, ReduceOp
+from ..collectives.patterns import CollectiveRequest
 from ..config.fleet import FleetConfig, kill_shard_outage
 from ..config.presets import MachineConfig
-from ..config.service import (
-    ServiceConfig,
-    TenantQuotaConfig,
-    TimeSlotConfig,
-)
 from ..errors import FleetError
 from ..faults.campaign import trial_seed
 from ..fleet import (
@@ -53,8 +45,8 @@ from ..observability import (
 )
 from ..runner.registry import register_experiment
 from ..runner.spec import SweepPoint
-from .common import ExperimentTable, table_formatter
-from .tenant_service_load import TenantSpec
+from .common import ExperimentTable, run_bounded, table_formatter
+from .tenant_service_load import TenantSpec, _service_config, _tenant_specs
 
 DEFAULTS = {
     "shards": 3,
@@ -67,69 +59,6 @@ DEFAULTS = {
 
 #: Per-tenant p99 latency bound (simulated seconds) on the home shard.
 P99_SLO_S = 50e-3
-
-_CC_MULTIPLIERS = (6, 12, 24, 48)
-_EMB_MULTIPLIERS = (4, 8, 16, 32)
-
-
-def tenant_names(tenants: int) -> tuple[str, ...]:
-    """The synthetic tenant names (fig17 workload pair, alternating)."""
-    return tuple(
-        f"cc-{index}" if index % 2 == 0 else f"emb-{index}"
-        for index in range(tenants)
-    )
-
-
-def _tenant_specs(
-    num_dpus: int, tenants: int, requests_per_tenant: int, seed: int
-) -> tuple[TenantSpec, ...]:
-    """Seeded request streams, the fig17 workload pair per tenant."""
-    specs = []
-    names = tenant_names(tenants)
-    for index in range(tenants):
-        if index % 2 == 0:
-            pattern = Collective.ALL_REDUCE
-            dtype = np.dtype(np.int64)
-            op = ReduceOp.MIN
-            multipliers = _CC_MULTIPLIERS
-        else:
-            pattern = Collective.REDUCE_SCATTER
-            dtype = np.dtype(np.int32)
-            op = ReduceOp.SUM
-            multipliers = _EMB_MULTIPLIERS
-        name = names[index]
-        quantum = num_dpus * dtype.itemsize
-        rng = random.Random(seed * 7919 + index)
-        requests = tuple(
-            CollectiveRequest(
-                pattern=pattern,
-                payload_bytes=quantum * rng.choice(multipliers),
-                dtype=dtype,
-                op=op,
-            )
-            for _ in range(requests_per_tenant)
-        )
-        specs.append(TenantSpec(name=name, pattern=pattern, requests=requests))
-    return tuple(specs)
-
-
-def _service_config() -> ServiceConfig:
-    """The tenant_service_load two-slot cycle, per shard."""
-    return ServiceConfig(
-        slots=(
-            TimeSlotConfig(
-                "all_reduce", ("all_reduce",),
-                time_window_s=500e-6, max_multiplexing=2,
-            ),
-            TimeSlotConfig(
-                "reduce_scatter", ("reduce_scatter",),
-                time_window_s=500e-6, max_multiplexing=2,
-            ),
-        ),
-        switch_time_s=20e-6,
-        queue_limit=64,
-        default_quota=TenantQuotaConfig(max_queued=8, max_per_slot=4),
-    )
 
 
 def busiest_shard(assignment: dict[str, int], shards: int) -> int:
@@ -224,20 +153,10 @@ def run_trial(
     outer = active_metrics()
     registry = MetricsRegistry()
     with use_metrics(registry):
-        coroutine = _drive(config, machine, specs, concurrency)
-        if timeout_s is not None:
-            async def _bounded():
-                return await asyncio.wait_for(coroutine, timeout_s)
-            try:
-                stats, responses, merged = asyncio.run(_bounded())
-            except asyncio.TimeoutError:
-                raise FleetError(
-                    f"fleet_resilience did not finish within "
-                    f"{timeout_s:g}s of wall clock — the event loop is "
-                    "likely deadlocked"
-                ) from None
-        else:
-            stats, responses, merged = asyncio.run(coroutine)
+        stats, responses, merged = run_bounded(
+            _drive(config, machine, specs, concurrency),
+            timeout_s, FleetError, "fleet_resilience",
+        )
         # Fold the fleet view (router + shard registries) into the run
         # registry so fleet.* families flow to the active outer registry
         # exactly like the service.* families the shards recorded.

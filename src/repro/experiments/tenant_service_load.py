@@ -41,7 +41,12 @@ from ..observability import (
 )
 from ..runner.registry import register_monolithic
 from ..service import SERVICE_SUBSTRATE, CollectiveService, ServiceResponse
-from .common import ExperimentTable, default_machine, table_formatter
+from .common import (
+    ExperimentTable,
+    default_machine,
+    run_bounded,
+    table_formatter,
+)
 
 DEFAULTS = {
     "tenants": 4,
@@ -84,19 +89,26 @@ class TenantServiceLoadResult:
     slo: SloReport
 
 
+def tenant_names(tenants: int) -> tuple[str, ...]:
+    """The synthetic tenant names (fig17 workload pair, alternating)."""
+    return tuple(
+        f"cc-{index}" if index % 2 == 0 else f"emb-{index}"
+        for index in range(tenants)
+    )
+
+
 def _tenant_specs(
     num_dpus: int, tenants: int, requests_per_tenant: int, seed: int
 ) -> tuple[TenantSpec, ...]:
+    """Seeded request streams, the fig17 workload pair per tenant."""
     specs = []
-    for index in range(tenants):
+    for index, name in enumerate(tenant_names(tenants)):
         if index % 2 == 0:
-            name = f"cc-{index}"
             pattern = Collective.ALL_REDUCE
             dtype = np.dtype(np.int64)
             op = ReduceOp.MIN
             multipliers = _CC_MULTIPLIERS
         else:
-            name = f"emb-{index}"
             pattern = Collective.REDUCE_SCATTER
             dtype = np.dtype(np.int32)
             op = ReduceOp.SUM
@@ -226,20 +238,10 @@ def run(
     outer = active_metrics()
     registry = MetricsRegistry()
     with use_metrics(registry):
-        coroutine = _drive(machine, config, specs, concurrency)
-        if timeout_s is not None:
-            async def _bounded():
-                return await asyncio.wait_for(coroutine, timeout_s)
-            try:
-                stats, responses = asyncio.run(_bounded())
-            except asyncio.TimeoutError:
-                raise ServiceError(
-                    f"tenant_service_load did not finish within "
-                    f"{timeout_s:g}s of wall clock — the event loop is "
-                    "likely deadlocked"
-                ) from None
-        else:
-            stats, responses = asyncio.run(coroutine)
+        stats, responses = run_bounded(
+            _drive(machine, config, specs, concurrency),
+            timeout_s, ServiceError, "tenant_service_load",
+        )
         slo = evaluate_slos(registry, _objectives(specs))
     if outer is not None:
         outer.merge(registry)

@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
+from ..config.units import is_finite_number
 from ..errors import ObservabilityError
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry, instrument_key
 
@@ -118,11 +119,17 @@ class SloObjective:
                 f"unknown SLO objective field(s): {sorted(unknown)}"
             )
         try:
+            threshold = data["threshold"]
+            if not is_finite_number(threshold):
+                raise ObservabilityError(
+                    f"SLO threshold must be a finite number, "
+                    f"got {threshold!r}"
+                )
             return cls(
                 metric=str(data["metric"]),
                 stat=str(data.get("stat", "value")),
                 op=str(data["op"]),
-                threshold=float(data["threshold"]),
+                threshold=float(threshold),
                 labels=dict(data["labels"]) if data.get("labels") else None,
                 per=data.get("per"),
                 name=str(data.get("name", "")),

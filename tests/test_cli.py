@@ -40,7 +40,8 @@ class TestRun:
 
     def test_no_cache_suppresses_summary_line(self, capsys):
         assert main(["run", "table05", "--no-cache"]) == 0
-        assert "cache:" not in capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+        assert not any(line.startswith("cache:") for line in lines)
 
     def test_cached_run_reports_hits_on_second_pass(self, tmp_path, capsys):
         cache_dir = str(tmp_path / "cache")
@@ -321,6 +322,14 @@ class TestRunInstrumented:
         assert "experiment/fig11" in names
         metrics = json.loads(metrics_path.read_text())["metrics"]
         assert "collective.requests" in metrics
+
+    def test_prom_suffix_writes_prometheus_exposition(self, tmp_path, capsys):
+        metrics_path = tmp_path / "out.prom"
+        assert main(["run", "table05", "--no-cache",
+                     "--metrics", str(metrics_path)]) == 0
+        text = metrics_path.read_text()
+        assert "# TYPE runner_experiments_total counter" in text
+        assert "runner_experiments_total 1.0" in text.splitlines()
 
 
 class TestParser:

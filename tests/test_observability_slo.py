@@ -57,6 +57,14 @@ class TestObjective:
         with pytest.raises(ObservabilityError, match="missing required"):
             SloObjective.from_dict({"metric": "m", "op": "<"})
 
+    @pytest.mark.parametrize("threshold", ["nan", "abc", "0.5", True,
+                                           float("nan"), float("inf")])
+    def test_rejects_non_numeric_or_non_finite_threshold(self, threshold):
+        with pytest.raises(ObservabilityError, match="threshold"):
+            SloObjective.from_dict(
+                {"metric": "m", "op": "<", "threshold": threshold}
+            )
+
 
 class TestEvaluate:
     def test_histogram_percentile_objective(self):
