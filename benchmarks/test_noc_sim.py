@@ -43,16 +43,20 @@ def test_event_loop_speedup(benchmark, report):
     )
 
     speedup = naive_s / event_s
+    grants = event_stats.total_flit_hops
     report(
         "NoC cycle loop, high-load point "
-        f"({len(messages)} messages, {naive_stats.cycles} cycles):\n"
+        f"({len(messages)} messages, {naive_stats.cycles} cycles, "
+        f"{grants} grants):\n"
         f"  naive reference loop : {naive_s * 1e3:8.1f} ms "
-        f"({naive_stats.events_processed} cycles stepped)\n"
+        f"({naive_stats.events_processed} cycles stepped, "
+        f"{naive_stats.arbitration_visits / grants:.2f} visits/grant)\n"
         f"  event-driven loop    : {event_s * 1e3:8.1f} ms "
         f"({event_stats.events_processed} events, "
-        f"{event_stats.idle_cycles_skipped} idle cycles skipped)\n"
+        f"{event_stats.idle_cycles_skipped} idle cycles skipped, "
+        f"{event_stats.arbitration_visits / grants:.2f} visits/grant)\n"
         f"  speedup              : {speedup:8.2f}x"
     )
-    # Locally ~4x; the floor is set below the target to tolerate noisy
+    # The floor is set well below the local ratio to tolerate noisy
     # shared CI runners without letting a real regression through.
     assert speedup >= 2.0

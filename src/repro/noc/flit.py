@@ -60,12 +60,6 @@ class Flit:
     def at_destination(self) -> bool:
         return self.hop_index >= len(self.path)
 
-    @property
-    def next_link(self) -> "object":
-        if self.at_destination:
-            raise SimulationError("flit already at destination")
-        return self.path[self.hop_index]
-
 
 @dataclass
 class SimStats:
@@ -74,10 +68,16 @@ class SimStats:
     ``events_processed`` counts the cycles whose state the simulator
     actually evaluated and ``idle_cycles_skipped`` the cycles it
     fast-forwarded over; the naive reference loop reports
-    ``events_processed == cycles`` and zero skipped.  ``grant_log`` /
-    ``medium_grant_log`` record per-output-port and per-medium grant
-    sequences, and are only populated when the simulator is constructed
-    with ``record_grants=True`` (they exist for fairness tests).
+    ``events_processed == cycles`` and zero skipped.
+    ``arbitration_visits`` counts the ``can_accept`` checks of switch
+    allocation; divided by ``total_flit_hops`` (one per grant) it is the
+    loop's work per grant.  The reference loop checks every link on
+    every cycle (``cycles * links``), so, like ``events_processed``, it
+    describes a loop's cost and is not compared between the loops.
+    ``grant_log`` / ``medium_grant_log`` record per-output-port and
+    per-medium grant sequences, and are only populated when the
+    simulator is constructed with ``record_grants=True`` (they exist for
+    fairness tests).
     """
 
     cycles: int = 0
@@ -88,6 +88,7 @@ class SimStats:
     arbitration_conflicts: int = 0
     events_processed: int = 0
     idle_cycles_skipped: int = 0
+    arbitration_visits: int = 0
     #: Fault injection (:mod:`repro.faults`): flits whose CRC check
     #: failed on some hop, and the total extra link occupancy their
     #: detection + retransmission cost.  Zero on fault-free runs.

@@ -178,29 +178,29 @@ class Link:
     def clear_faults(self) -> None:
         self.configure_faults()
 
-    @property
-    def has_fault_windows(self) -> bool:
-        return bool(self.outages) or bool(
-            self.medium is not None and self.medium.stall_windows
-        )
+    def wake_cycle(self, now: int) -> int:
+        """Earliest cycle a link that has credits but refuses ``now`` may
+        accept: the latest end among its serialisation, its medium's, and
+        any outage or bus-stall window containing ``now``.
 
-    def fault_wake_cycle(self, now: int) -> int | None:
-        """Earliest cycle the window blocking ``now`` opens, if any.
-
-        The event-driven loop pushes this as a wake event when a
-        requested link refuses a flit mid-window; ``can_accept`` is
-        simply re-checked at the wake, so overlapping windows need no
-        special handling here.
+        The event-driven loop parks a refused link until this cycle.  No
+        blocker ends earlier while the link waits — its own
+        ``next_free_cycle`` moves only when it is granted, a medium's only
+        ever advances — so the wake never overshoots; ``can_accept`` is
+        re-checked there, which covers windows that start meanwhile.
         """
-        ends = []
+        wake = self.next_free_cycle
         end = _window_end(self.outages, now)
-        if end is not None:
-            ends.append(end)
-        if self.medium is not None:
-            end = self.medium.stall_end(now)
-            if end is not None:
-                ends.append(end)
-        return min(ends) if ends else None
+        if end is not None and end > wake:
+            wake = end
+        medium = self.medium
+        if medium is not None:
+            if medium.next_free_cycle > wake:
+                wake = medium.next_free_cycle
+            end = medium.stall_end(now)
+            if end is not None and end > wake:
+                wake = end
+        return wake
 
     def _corruption_uniform(self) -> float:
         """Deterministic per-traversal uniform in [0, 1).

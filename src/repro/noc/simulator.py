@@ -15,14 +15,21 @@ The same simulator runs both of Fig 13's configurations:
   delivered (the WAIT semantics), and all sources start together after
   the READY/START synchronization.
 
-The production loop (:meth:`NocSimulator.run`) is event-driven: it keeps
-a min-heap of "interesting" cycles (message ready times, flit arrivals,
-link/medium free times, plus the cycle after any state change) and
-fast-forwards between them, touching only routers that hold flits and
-links that have pending arrivals.  The naive cycle-by-cycle loop is kept
-as :meth:`NocSimulator._run_reference`; both share the injection,
-ejection, and arbitration helpers, and equivalence tests hold their
-outputs byte-for-byte equal (see ``docs/NOC.md``).
+The production loop (:meth:`NocSimulator.run`) is event-driven: it
+jumps from one cycle that can change the state to the next (a message
+ready time, a flit arrival, a parked link's wake cycle, or the next
+cycle while work is pending) and does only the work those cycles can
+do.  Each input port's head flit sets its bit in a per-output-link
+request mask, so switch allocation picks the round-robin grantee with
+bit operations; ejection visits only links whose head flit is home; and
+arbitration visits only *active* links.  A link that is granted, or
+refused, parks on its wake condition — a credit returning to its
+buffer, or the cycle its own or its medium's serialisation or a fault
+window ends — instead of being re-checked every event.  The naive
+cycle-by-cycle loop is kept as :meth:`NocSimulator._run_reference`;
+both share the injection, ejection, and arbitration helpers, and
+equivalence tests hold their outputs byte-for-byte equal (see
+``docs/NOC.md``).
 """
 
 from __future__ import annotations
@@ -45,10 +52,16 @@ from .links import Link, SharedMedium
 from .network import NocNetwork
 
 
+#: ``_RunState.parked`` value of a link waiting for a credit to return
+#: to its own downstream buffer (other parked links map to a cycle).
+_ON_CREDIT = -1
+
+
 @dataclass
 class _InjectionQueue:
-    """Per-DPU NIC queue feeding the local stop."""
+    """Per-DPU NIC queue: the last input port of the DPU's stop router."""
 
+    bit: int
     flits: deque = field(default_factory=deque)
 
 
@@ -63,20 +76,20 @@ class _RunState:
         "links",
         "pos",
         "router_ports",
+        "port_bit",
         "rr",
-        "medium_base",
+        "arb_base",
         "member_pos",
         "outstanding",
         "barrier_order",
         "msg_rank",
         "frontier",
-        "req_count",
-        "requested",
-        "buffered",
+        "req_mask",
+        "eject_ready",
+        "active",
+        "parked",
         "inject_dirty",
-        "ready_heap",
         "arb_heap",
-        "arb_visited",
         "arb_cursor",
     )
 
@@ -87,25 +100,36 @@ class _RunState:
         self.remaining = 0
         self.links: list[Link] = []
         self.pos: dict[Link, int] = {}
-        self.router_ports: dict[str, list[tuple[str, object]]] = {}
-        self.rr: dict[str, int] = {}
-        self.medium_base: dict[SharedMedium, int] = {}
+        # Input ports per router (input links, then the NIC queue), the
+        # request bit of each input link at its downstream router, and
+        # each output link's round-robin pointer into its router's ports.
+        self.router_ports: dict[str, list] = {}
+        self.port_bit: dict[Link, int] = {}
+        self.rr: dict[Link, int] = {}
+        # Arbitration key = arb_base, plus the rotation within a medium.
+        self.arb_base: dict[Link, int] = {}
         self.member_pos: dict[Link, int] = {}
         self.outstanding: dict[int, int] = {}
         self.barrier_order: list[int] = []
         self.msg_rank: dict[int, int] = {}
         self.frontier = 0
-        self.req_count: dict[Link, int] = {}
-        self.requested: set[Link] = set()
-        self.buffered: set[Link] = set()
+        # Output link -> bitmask of the input ports whose head flit
+        # requests it.
+        self.req_mask: dict[Link, int] = {}
+        # Links whose input-buffer head flit has reached its stop.
+        self.eject_ready: set[Link] = set()
+        # Requested links the next step 4 must visit; every other
+        # requested link is parked, keyed by its wake condition: a cycle
+        # (also queued on the event loop's wake heap) or ``_ON_CREDIT``.
+        self.active: set[Link] = set()
+        self.parked: dict[Link, int] = {}
         self.inject_dirty = False
-        self.ready_heap: list[int] = []
         # Step-4 worklist (only live inside the event loop's allocation
-        # step): a heap of (arb key, pos, link) still to visit this
-        # cycle, the links already visited, and the current position.
+        # step): a heap of (arb key, pos, link) still to visit this cycle,
+        # and the key of the link being visited.  A medium member re-keyed
+        # by a bus grant can tie with a stale key; pos breaks the tie.
         self.arb_heap: list | None = None
-        self.arb_visited: set[Link] = set()
-        self.arb_cursor: tuple[int, int] = (-1, -1)
+        self.arb_cursor = -1
 
 
 class NocSimulator:
@@ -185,6 +209,7 @@ class NocSimulator:
                 peak_buffer_occupancy=stats.peak_buffer_occupancy,
                 events_processed=stats.events_processed,
                 idle_cycles_skipped=stats.idle_cycles_skipped,
+                arbitration_visits=stats.arbitration_visits,
             )
             metric_counter("noc.cycles").inc(stats.cycles)
             metric_counter("noc.flits_delivered").inc(stats.flits_delivered)
@@ -197,6 +222,9 @@ class NocSimulator:
             )
             metric_counter("noc.idle_cycles_skipped").inc(
                 stats.idle_cycles_skipped
+            )
+            metric_counter("noc.arbitration_visits").inc(
+                stats.arbitration_visits
             )
             metric_gauge("noc.peak_buffer_occupancy").max(
                 stats.peak_buffer_occupancy
@@ -260,39 +288,49 @@ class NocSimulator:
         links = list(network.links.values())
         state.links = links
         state.pos = {link: i for i, link in enumerate(links)}
-        state.rr = {link.name: 0 for link in links}
+        state.rr = {link: 0 for link in links}
+        state.req_mask = {link: 0 for link in links}
         # Input ports per router, in stable construction order, with the
         # NIC as the final port of every stop router.  The round-robin
         # pointer of each output link indexes this fixed port list, so
         # it keeps meaning something when the set of *requesting* ports
         # changes from cycle to cycle.
-        ports: dict[str, list[tuple[str, object]]] = {}
+        ports: dict[str, list] = {}
         for link in links:
-            ports.setdefault(link.dst_router, []).append(("link", link))
+            inputs = ports.setdefault(link.dst_router, [])
+            state.port_bit[link] = 1 << len(inputs)
+            inputs.append(link)
             ports.setdefault(link.src_router, [])
-        for router in ports:
+        for router, inputs in ports.items():
             nic_dpu = self._nic_dpu(router)
             if nic_dpu >= 0:
-                ports[router].append(("nic", nic_dpu))
+                queue = _InjectionQueue(bit=1 << len(inputs))
+                state.injection[nic_dpu] = queue
+                inputs.append(queue)
         state.router_ports = ports
         # Arbitration ordering: plain links keep their stable position;
         # a shared medium's members are grouped at the position of the
-        # medium's first member and ordered by its grant rotation.
-        for link in links:
+        # medium's first member and ordered by its grant rotation: key =
+        # position * len(links) + rotation.
+        stride = len(links)
+        group: dict[SharedMedium, int] = {}
+        for i, link in enumerate(links):
             medium = link.medium
-            if medium is not None and medium not in state.medium_base:
-                state.medium_base[medium] = state.pos[link]
-        for medium in state.medium_base:
+            if medium is not None:
+                state.arb_base[link] = group.setdefault(medium, i * stride)
+            else:
+                state.arb_base[link] = i * stride
+        for medium in group:
             for i, member in enumerate(medium.members):
                 state.member_pos[member] = i
         return state
 
-    def _arb_sort_key(self, link: Link, state: _RunState) -> tuple[int, int]:
+    def _arb_key(self, link: Link, state: _RunState) -> int:
         medium = link.medium
         if medium is None:
-            return (state.pos[link], 0)
+            return state.arb_base[link]
         rot = (state.member_pos[link] - medium.rr_index) % len(medium.members)
-        return (state.medium_base[medium], rot)
+        return state.arb_base[link] + rot
 
     def _full_arb_order(self, state: _RunState) -> list[Link]:
         """Every output link in this cycle's arbitration order."""
@@ -308,45 +346,61 @@ class NocSimulator:
         return order
 
     # -- request tracking ---------------------------------------------------------------
-    # Every head-of-queue flit (input buffer or NIC) holds exactly one
-    # "request" on its next output link; the event loop arbitrates only
-    # requested links.  A request appearing *during* switch allocation
-    # (a grant or ejection reveals a new head) joins the in-flight
+    # Every head-of-queue flit (input buffer or NIC) sets its port's bit
+    # in the request mask of its next output link, or, at its stop, puts
+    # its link in the eject-ready set.  The event loop arbitrates only
+    # *active* links: requested and not parked.  A link that joins the
+    # active set *during* switch allocation (a grant reveals a new head,
+    # or returns a credit to a link waiting for one) joins the in-flight
     # worklist if its position has not been passed yet — exactly the
     # links the naive loop, which visits every link in order, would
-    # still reach this cycle.
-    def _req_inc(self, state: _RunState, link: Link) -> None:
-        count = state.req_count.get(link, 0)
-        state.req_count[link] = count + 1
-        if count == 0:
-            state.requested.add(link)
-            heap = state.arb_heap
-            if heap is not None and link not in state.arb_visited:
-                key = self._arb_sort_key(link, state)
-                if key > state.arb_cursor:
-                    heapq.heappush(heap, (key, state.pos[link], link))
+    # still reach this cycle.  A medium member re-keyed by a bus grant
+    # may be revisited; the busy bus refuses it again.
+    def _wake(self, state: _RunState, link: Link) -> None:
+        heap = state.arb_heap
+        if heap is not None:
+            key = self._arb_key(link, state)
+            if key > state.arb_cursor:
+                heapq.heappush(heap, (key, state.pos[link], link))
+                return
+        state.active.add(link)
 
-    def _req_dec(self, state: _RunState, link: Link) -> None:
-        count = state.req_count[link] - 1
-        state.req_count[link] = count
-        if count == 0:
-            state.requested.discard(link)
+    def _request(self, state: _RunState, link: Link, bit: int) -> None:
+        mask = state.req_mask[link]
+        state.req_mask[link] = mask | bit
+        if not mask and link not in state.parked:
+            self._wake(state, link)
+
+    def _new_head(self, state: _RunState, link: Link) -> None:
+        """The head of ``link``'s input buffer changed: file its request."""
+        head = link.buffer[0]
+        if head.hop_index >= len(head.path):
+            state.eject_ready.add(link)
+        else:
+            self._request(
+                state, head.path[head.hop_index], state.port_bit[link]
+            )
+
+    def _return_credit(self, state: _RunState, link: Link) -> None:
+        link.return_credit()
+        if state.parked.get(link) == _ON_CREDIT:
+            del state.parked[link]
+            self._wake(state, link)
 
     # -- shared per-cycle actions -------------------------------------------------------
     def _inject(self, message: Message, state: _RunState, now: int) -> None:
         message.inject_start_cycle = now
         path = self.network.path(message.src, message.dst)
-        queue = state.injection.setdefault(message.src, _InjectionQueue())
+        queue = state.injection[message.src]
         was_empty = not queue.flits
         for seq in range(message.num_flits):
             queue.flits.append(Flit(message=message, seq=seq, path=path))
         message.injected_flits = message.num_flits
         if was_empty:
-            self._req_inc(state, queue.flits[0].next_link)
+            self._request(state, path[0], queue.bit)
 
-    def _scan_injections(self, state: _RunState, now: int) -> bool:
+    def _scan_injections(self, state: _RunState, now: int) -> None:
         """Step 1: move newly eligible messages into their NIC queues."""
-        injected = False
         still_waiting: deque = deque()
         not_injected = state.not_injected
         while not_injected:
@@ -360,38 +414,28 @@ class NocSimulator:
                 still_waiting.append(m)
                 continue
             self._inject(m, state, now)
-            injected = True
         state.not_injected = still_waiting
-        return injected
 
-    def _deliver(self, link: Link, state: _RunState, now: int) -> int:
+    def _deliver(self, link: Link, state: _RunState, now: int) -> None:
         """Step 2 for one link: land due arrivals in its input buffer."""
         was_empty = not link.buffer
-        moved = link.deliver_arrivals(now)
-        if moved:
+        if link.deliver_arrivals(now):
             if was_empty:
-                head = link.buffer[0]
-                if not head.at_destination:
-                    self._req_inc(state, head.next_link)
-            state.buffered.add(link)
+                self._new_head(state, link)
             occupancy = len(link.buffer)
             stats = state.stats
             if occupancy > stats.peak_buffer_occupancy:
                 stats.peak_buffer_occupancy = occupancy
             if occupancy > stats.link_peak_queue_flits.get(link.name, 0):
                 stats.link_peak_queue_flits[link.name] = occupancy
-        return moved
 
     def _eject(self, link: Link, state: _RunState, now: int) -> None:
         """Step 3 for one link: pop a head flit that reached its stop."""
         flit = link.buffer.popleft()
-        link.return_credit()
+        state.eject_ready.discard(link)
+        self._return_credit(state, link)
         if link.buffer:
-            head = link.buffer[0]
-            if not head.at_destination:
-                self._req_inc(state, head.next_link)
-        else:
-            state.buffered.discard(link)
+            self._new_head(state, link)
         self._account_delivery(flit, now, state)
         state.remaining -= 1
 
@@ -405,62 +449,38 @@ class NocSimulator:
         first requesting port at or after the pointer, and the pointer
         advances just past the grantee — so a persistently backlogged
         port can neither be starved nor double-served when the set of
-        requesting ports changes.  Returns the granted flit's arrival
-        cycle, or None when no port requests this output.
+        requesting ports changes.  The link's request mask finds that
+        port (and whether another port also requests) with bit
+        operations.  Returns the granted flit's arrival cycle, or None
+        when no port requests this output.
         """
-        ports = state.router_ports.get(link.src_router)
-        if not ports:
+        mask = state.req_mask[link]
+        if not mask:
             return None
-        num_ports = len(ports)
-        pointer = state.rr[link.name]
-        chosen = -1
-        requesting = 0
-        for offset in range(num_ports):
-            i = pointer + offset
-            if i >= num_ports:
-                i -= num_ports
-            kind, obj = ports[i]
-            if kind == "nic":
-                queue = state.injection.get(obj)
-                if queue is None or not queue.flits:
-                    continue
-                head = queue.flits[0]
-                if head.next_link is not link:
-                    continue
-            else:
-                buf = obj.buffer
-                if not buf:
-                    continue
-                head = buf[0]
-                if head.at_destination or head.next_link is not link:
-                    continue
-            requesting += 1
-            if chosen < 0:
-                chosen = i
-        if chosen < 0:
-            return None
+        pointer = state.rr[link]
+        later = mask >> pointer
+        if later:
+            chosen = pointer + (later & -later).bit_length() - 1
+        else:
+            chosen = (mask & -mask).bit_length() - 1
         stats = state.stats
-        if requesting > 1:
+        if mask & (mask - 1):
             stats.arbitration_conflicts += 1
-        state.rr[link.name] = (chosen + 1) % num_ports
-        kind, obj = ports[chosen]
-        self._req_dec(state, link)
-        if kind == "nic":
-            queue = state.injection[obj]
-            flit = queue.flits.popleft()
-            if queue.flits:
-                self._req_inc(state, queue.flits[0].next_link)
+        ports = state.router_ports[link.src_router]
+        state.rr[link] = (chosen + 1) % len(ports)
+        state.req_mask[link] = mask ^ (1 << chosen)
+        port = ports[chosen]
+        if isinstance(port, _InjectionQueue):
+            flit = port.flits.popleft()
+            if port.flits:
+                self._request(state, port.flits[0].path[0], port.bit)
             port_label = "nic"
         else:
-            flit = obj.buffer.popleft()
-            obj.return_credit()
-            if obj.buffer:
-                head = obj.buffer[0]
-                if not head.at_destination:
-                    self._req_inc(state, head.next_link)
-            else:
-                state.buffered.discard(obj)
-            port_label = obj.name
+            flit = port.buffer.popleft()
+            self._return_credit(state, port)
+            if port.buffer:
+                self._new_head(state, port)
+            port_label = port.name
         flit.hop_index += 1
         flit.arrival_link = None
         arrival = link.start_traversal(flit, now)
@@ -501,31 +521,36 @@ class NocSimulator:
             # nothing is delivered, and the stats come back clean.
             return self._finalize(state, 0)
 
-        events: list[int] = [m.ready_cycle for m in state.not_injected]
-        heapq.heapify(events)
-        state.ready_heap = sorted(events)
+        ready = sorted(m.ready_cycle for m in state.not_injected)
         arrivals: list[tuple[int, int, Link]] = []
-        # Fault windows (link outages, bus stalls) block a link without
-        # any state change that would schedule a wake; when any exist,
-        # step 4 pushes the blocking window's end as an event.  The scan
-        # runs once per run, so the fault-free path stays untouched.
-        fault_windows = any(
-            link.has_fault_windows for link in state.links
-        )
+        wakes: list[tuple[int, int, Link]] = []
+        parked = state.parked
+        req_mask = state.req_mask
+        pos = state.pos
         now = -1
 
         while state.remaining > 0:
-            if not events:
-                raise SimulationError(
-                    f"NoC simulation deadlocked at cycle {now} with "
-                    f"{state.remaining} flits outstanding and no pending "
-                    "events — circular dependency or credit starvation"
-                )
-            nxt = heapq.heappop(events)
-            while events and events[0] <= nxt:
-                heapq.heappop(events)
-            if nxt <= now:
-                continue
+            # The next cycle that can differ from the last: the next one
+            # while work is pending now, else the earliest message ready
+            # time, flit arrival, or parked link's wake cycle.
+            if (
+                state.active
+                or state.eject_ready
+                or (state.inject_dirty and state.not_injected)
+            ):
+                nxt = now + 1
+            else:
+                upcoming = [heap[0][0] for heap in (arrivals, wakes) if heap]
+                if ready:
+                    upcoming.append(ready[0])
+                if not upcoming:
+                    raise SimulationError(
+                        f"NoC simulation deadlocked at cycle {now} with "
+                        f"{state.remaining} flits outstanding and no "
+                        "pending events — circular dependency or credit "
+                        "starvation"
+                    )
+                nxt = min(upcoming)
             if nxt >= max_cycles:
                 raise SimulationError(
                     f"NoC simulation exceeded {max_cycles} cycles with "
@@ -535,77 +560,68 @@ class NocSimulator:
             stats.idle_cycles_skipped += nxt - now - 1
             now = nxt
             stats.events_processed += 1
-            activity = False
+
+            # Parked links whose wake cycle has come rejoin arbitration.
+            while wakes and wakes[0][0] <= now:
+                link = heapq.heappop(wakes)[2]
+                del parked[link]
+                if req_mask[link]:
+                    state.active.add(link)
 
             # 1. inject newly eligible messages into their NIC queues.
-            # Eligibility only changes at ready times (heap events) or
-            # after deliveries (deps/barriers), so the scan is gated.
-            ready_heap = state.ready_heap
-            while ready_heap and ready_heap[0] <= now:
-                heapq.heappop(ready_heap)
+            # Eligibility only changes at ready times or after
+            # deliveries (deps/barriers), so the scan is gated.
+            while ready and ready[0] <= now:
+                heapq.heappop(ready)
                 state.inject_dirty = True
             if state.inject_dirty:
                 state.inject_dirty = False
-                if state.not_injected and self._scan_injections(state, now):
-                    activity = True
+                if state.not_injected:
+                    self._scan_injections(state, now)
 
             # 2. deliver in-flight flits into downstream buffers
             while arrivals and arrivals[0][0] <= now:
-                _, _, link = heapq.heappop(arrivals)
-                if self._deliver(link, state, now):
-                    activity = True
+                self._deliver(heapq.heappop(arrivals)[2], state, now)
 
             # 3. eject flits that reached their destination (head of FIFO)
-            if state.buffered:
-                for link in sorted(
-                    state.buffered, key=state.pos.__getitem__
-                ):
-                    buf = link.buffer
-                    if buf and buf[0].at_destination:
-                        self._eject(link, state, now)
-                        activity = True
+            if state.eject_ready:
+                for link in sorted(state.eject_ready, key=pos.__getitem__):
+                    self._eject(link, state, now)
 
-            # 4. switch allocation over requested output links only,
-            # visited in the same global order as the reference loop;
-            # requests revealed mid-step join the worklist when their
-            # position has not been passed yet.
-            if state.requested:
-                worklist: list[tuple[tuple[int, int], int, Link]] = [
-                    (self._arb_sort_key(link, state), state.pos[link], link)
-                    for link in state.requested
+            # 4. switch allocation over the active links, visited in the
+            # reference loop's global order.  Every visited link parks:
+            # a granted one until it is free again, a refused one on
+            # what refused it (a credit, or the cycle its serialisation,
+            # its medium's, or a fault window ends).
+            active = state.active
+            if active:
+                worklist = [
+                    (self._arb_key(link, state), pos[link], link)
+                    for link in active
                 ]
                 heapq.heapify(worklist)
+                active.clear()
                 state.arb_heap = worklist
-                visited = state.arb_visited
                 while worklist:
                     key, _, link = heapq.heappop(worklist)
-                    if link in visited:
-                        continue
-                    visited.add(link)
                     state.arb_cursor = key
-                    if not link.can_accept(now):
-                        if fault_windows:
-                            wake = link.fault_wake_cycle(now)
-                            if wake is not None:
-                                heapq.heappush(events, wake)
+                    stats.arbitration_visits += 1
+                    if link.can_accept(now):
+                        # Parked before the grant, so a request the grant
+                        # reveals for this same link cannot reactivate it.
+                        parked[link] = now
+                        arrival = self._try_grant(link, state, now)
+                        heapq.heappush(arrivals, (arrival, pos[link], link))
+                        wake = link.next_free_cycle
+                    elif link.credits <= 0:
+                        parked[link] = _ON_CREDIT
                         continue
-                    arrival = self._try_grant(link, state, now)
-                    if arrival is None:
-                        continue
-                    activity = True
-                    heapq.heappush(events, link.next_free_cycle)
-                    heapq.heappush(events, arrival)
-                    heapq.heappush(
-                        arrivals, (arrival, state.pos[link], link)
-                    )
+                    else:
+                        wake = link.wake_cycle(now)
+                    parked[link] = wake
+                    heapq.heappush(wakes, (wake, pos[link], link))
                 state.arb_heap = None
-                visited.clear()
-                state.arb_cursor = (-1, -1)
-
-            if activity:
-                # State-driven follow-ups (a freed buffer slot, a new
-                # head flit, a satisfied dependency) can fire next cycle.
-                heapq.heappush(events, now + 1)
+                state.arb_cursor = -1
 
         return self._finalize(state, now + 1)
 
@@ -644,6 +660,7 @@ class NocSimulator:
                     self._try_grant(link, state, now)
             now += 1
         stats.events_processed = now
+        stats.arbitration_visits = now * len(state.links)
         return self._finalize(state, now)
 
     # -- helpers -----------------------------------------------------------------------

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.core import Shape
 from repro.errors import SimulationError
+from repro.experiments.noc_load_latency import high_load_workload
 from repro.noc import Message, NocNetwork, NocSimulator
 
 COMPARED_FIELDS = (
@@ -62,6 +63,9 @@ def assert_equivalent(network, messages, barriers=None):
     assert event.events_processed + event.idle_cycles_skipped == event.cycles
     assert reference.events_processed == reference.cycles
     assert reference.idle_cycles_skipped == 0
+    assert reference.arbitration_visits == (
+        reference.cycles * len(network.links)
+    )
 
 
 class TestEquivalenceDirected:
@@ -74,6 +78,21 @@ class TestEquivalenceDirected:
                     num_flits=3 + i % 4, ready_cycle=(i * 7) % 50)
             for i in range(20)
             if i % n != ((i * 3 + 1) % n or 1)
+        ]
+        assert_equivalent(net, messages)
+
+    def test_four_rank_bus_with_single_slot_buffers(self):
+        """Four ranks put twelve bus links on one medium, so a bus grant
+        re-keys the members behind it mid-step; the randomized suites
+        stop at two ranks."""
+        shape = Shape(2, 1, 4)
+        net = NocNetwork(shape, buffer_depth=1)
+        n = shape.num_dpus
+        messages = [
+            Message(msg_id=i, src=i % n, dst=(i * 3 + 2) % n,
+                    num_flits=2 + i % 5, ready_cycle=(i * 5) % 30)
+            for i in range(24)
+            if i % n != (i * 3 + 2) % n
         ]
         assert_equivalent(net, messages)
 
@@ -100,7 +119,7 @@ class TestEquivalenceDirected:
 
 
 @st.composite
-def random_workload(draw):
+def random_workload(draw, num_messages=(1, 10), num_flits=(1, 5)):
     banks = draw(st.integers(1, 4))
     chips = draw(st.integers(1, 2))
     ranks = draw(st.integers(1, 2))
@@ -109,7 +128,7 @@ def random_workload(draw):
     if n < 2:
         banks, n = 2, 2
         shape = Shape(2, 1, 1)
-    count = draw(st.integers(1, 10))
+    count = draw(st.integers(*num_messages))
     messages = []
     for msg_id in range(count):
         src = draw(st.integers(0, n - 1))
@@ -124,7 +143,7 @@ def random_workload(draw):
                 msg_id=msg_id,
                 src=src,
                 dst=dst,
-                num_flits=draw(st.integers(1, 5)),
+                num_flits=draw(st.integers(*num_flits)),
                 ready_cycle=draw(st.integers(0, 60)),
                 deps=deps,
             )
@@ -171,6 +190,22 @@ def link_faults(draw):
     return faults, bus_stall
 
 
+def install_faults(net, fault_spec):
+    faults, bus_stall = fault_spec
+    names = sorted(net.links)
+    for fault in faults:
+        link = net.links[names[fault["link"] % len(names)]]
+        link.configure_faults(
+            outages=fault["outages"],
+            fault_factor=fault["factor"],
+            corruption_rate=fault["corruption_rate"],
+            retry_cycles=2 * link.cycles_per_flit,
+            corruption_salt=7,
+        )
+    if bus_stall:
+        net.bus_medium.stall_windows = ((10, 90), (150, 220))
+
+
 @pytest.mark.slow
 class TestEquivalenceUnderInjectedFaults:
     """Satellite of ``repro.faults``: the two loops must stay byte-equal
@@ -183,20 +218,8 @@ class TestEquivalenceUnderInjectedFaults:
         self, workload, fault_spec
     ):
         shape, messages, barriers = workload
-        faults, bus_stall = fault_spec
         net = NocNetwork(shape)
-        names = sorted(net.links)
-        for fault in faults:
-            link = net.links[names[fault["link"] % len(names)]]
-            link.configure_faults(
-                outages=fault["outages"],
-                fault_factor=fault["factor"],
-                corruption_rate=fault["corruption_rate"],
-                retry_cycles=2 * link.cycles_per_flit,
-                corruption_salt=7,
-            )
-        if bus_stall:
-            net.bus_medium.stall_windows = ((10, 90), (150, 220))
+        install_faults(net, fault_spec)
         assert_equivalent(net, messages, barriers)
 
     def test_faulted_run_is_never_faster_than_clean(self):
@@ -215,6 +238,29 @@ class TestEquivalenceUnderInjectedFaults:
             )
         faulted, _ = run_both(net, messages)
         assert faulted.cycles >= clean.cycles
+
+
+class TestEquivalenceUnderCreditPressure:
+    """One- and two-slot buffers under long messages: links run out of
+    credits and park until a credit returns, including a return in the
+    middle of switch allocation that must still reach a link whose
+    arbitration position lies ahead; bus members park on the busy bus.
+    Unmarked, so tier-1 runs it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        random_workload(num_messages=(2, 16), num_flits=(4, 16)),
+        st.sampled_from([1, 2]),
+        st.none() | link_faults(),
+    )
+    def test_event_loop_matches_reference_with_shallow_buffers(
+        self, workload, buffer_depth, fault_spec
+    ):
+        shape, messages, barriers = workload
+        net = NocNetwork(shape, buffer_depth=buffer_depth)
+        if fault_spec is not None:
+            install_faults(net, fault_spec)
+        assert_equivalent(net, messages, barriers)
 
 
 class TestBarrierReleaseOrdering:
@@ -341,3 +387,12 @@ class TestEventAccounting:
             stats.events_processed + stats.idle_cycles_skipped
             == stats.cycles
         )
+
+    def test_high_load_arbitration_visits_per_grant(self):
+        """Machine-independent work gate: at the saturating point, where
+        most requested links are out of credits or serialising, switch
+        allocation checks about one link per grant because blocked links
+        park instead of being re-checked on every event."""
+        network, messages = high_load_workload()
+        stats = NocSimulator(network, messages).run()
+        assert stats.arbitration_visits / stats.total_flit_hops <= 1.5

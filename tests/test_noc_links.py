@@ -93,6 +93,35 @@ class TestSharedMedium:
         assert not link.in_flight
 
 
+class TestWakeCycle:
+    """The cycle a refused link parks until: the latest end among its
+    current blockers, never later than the first cycle it accepts."""
+
+    def test_serialising_link_wakes_when_free(self):
+        link = make_link(cycles_per_flit=5)
+        link.start_traversal(make_flit(), now=0)
+        assert link.wake_cycle(1) == 5
+        assert not link.can_accept(4) and link.can_accept(5)
+
+    def test_busy_medium_sets_the_wake(self):
+        bus = SharedMedium("bus")
+        a = make_link(name="a", medium=bus, cycles_per_flit=4)
+        b = make_link(name="b", medium=bus, cycles_per_flit=1)
+        a.start_traversal(make_flit(), now=0)
+        assert b.wake_cycle(0) == 4
+        assert not b.can_accept(3) and b.can_accept(4)
+
+    def test_latest_window_end_wins(self):
+        bus = SharedMedium("bus", stall_windows=((0, 30),))
+        link = make_link(medium=bus)
+        link.configure_faults(outages=((5, 20), (40, 50)))
+        assert link.wake_cycle(10) == 30
+        assert not link.can_accept(29) and link.can_accept(30)
+        # A window that opens after the wake is not folded into it; the
+        # loop's re-check at the wake finds it.
+        assert link.wake_cycle(45) == 50
+
+
 class TestValidation:
     def test_zero_cycles_per_flit_rejected(self):
         with pytest.raises(SimulationError):

@@ -143,8 +143,15 @@ class TestNocInstrumentation:
         assert span is not None
         assert span.attributes["num_messages"] == 1
         assert span.attributes["cycles"] == stats.cycles
+        assert span.attributes["arbitration_visits"] == (
+            stats.arbitration_visits
+        )
+        assert stats.arbitration_visits >= stats.total_flit_hops > 0
         assert metrics.counters["noc.flits_delivered"].value == 4
         assert metrics.counters["noc.cycles"].value == stats.cycles
+        assert metrics.counters["noc.arbitration_visits"].value == (
+            stats.arbitration_visits
+        )
 
 
 class TestTraceConfig:
