@@ -78,7 +78,9 @@ class HealthTracker:
     def __init__(self, shards: int) -> None:
         if shards < 1:
             raise FleetError(f"health tracker needs >= 1 shard, got {shards}")
-        self._states = [ShardHealth.HEALTHY] * shards
+        #: Replaced, never mutated, on each transition: the router keys
+        #: its route-order memo on this tuple's identity.
+        self._states = (ShardHealth.HEALTHY,) * shards
         self.transitions: list[HealthTransition] = []
 
     def __len__(self) -> int:
@@ -96,7 +98,8 @@ class HealthTracker:
         return self._states[shard]
 
     def states(self) -> tuple[ShardHealth, ...]:
-        return tuple(self._states)
+        """Every shard's state; the same object until a transition."""
+        return self._states
 
     def serving_shards(self) -> tuple[int, ...]:
         """Indices of shards the router may route to (not down)."""
@@ -116,7 +119,9 @@ class HealthTracker:
         old = self._states[shard]
         if old is new:
             return False
-        self._states[shard] = new
+        states = list(self._states)
+        states[shard] = new
+        self._states = tuple(states)
         self.transitions.append(
             HealthTransition(
                 at_submission=at_submission,

@@ -28,6 +28,7 @@ router reroutes them, which is the graceful-degradation path the
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 from enum import Enum
@@ -39,7 +40,7 @@ from ..config.presets import MachineConfig
 from ..config.service import ServiceConfig
 from ..errors import CollectiveError, FleetError, ServiceError
 from ..faults.model import FaultSet, sample_fault_set
-from ..observability import MetricsRegistry
+from ..observability import Counter, Histogram, MetricsRegistry
 from ..service import CLOSED_REASON, CollectiveService, ServiceResponse
 from ..service.slots import SlotCycle
 from .health import HealthTracker, ShardHealth
@@ -60,10 +61,24 @@ __all__ = [
 # Rendezvous (highest-random-weight) hashing.
 # --------------------------------------------------------------------------
 
+#: Rankings kept by the ranking memo: far more than any fleet's distinct
+#: (tenant, shards, key) triples, small enough that a stream of unique
+#: request keys cannot grow it without bound.
+RANKING_MEMO_SIZE = 4096
+
+
 def _score(tenant: str, key: str, shard: int) -> int:
     """The HRW weight of ``shard`` for ``(tenant, key)`` — process-stable."""
     token = f"{tenant}\x1f{key}\x1fshard:{shard}".encode("utf-8")
     return int.from_bytes(hashlib.sha256(token).digest()[:8], "big")
+
+
+@functools.lru_cache(maxsize=RANKING_MEMO_SIZE)
+def _ranking(tenant: str, shards: int, key: str) -> tuple[int, ...]:
+    """The ranking itself; a pure function, so memoized."""
+    return tuple(
+        sorted(range(shards), key=lambda s: (-_score(tenant, key, s), s))
+    )
 
 
 def shard_ranking(tenant: str, shards: int, key: str = "") -> tuple[int, ...]:
@@ -71,15 +86,14 @@ def shard_ranking(tenant: str, shards: int, key: str = "") -> tuple[int, ...]:
 
     Removing a shard never reorders the survivors — the defining HRW
     property — so failover lands each tenant on the same backup shard
-    on every run and in every process.
+    on every run and in every process.  Answers come from a memo of the
+    last :data:`RANKING_MEMO_SIZE` distinct ``(tenant, shards, key)``.
     """
     if not isinstance(shards, int) or shards < 1:
         raise FleetError(f"shard count must be an int >= 1, got {shards!r}")
     if not tenant or not isinstance(tenant, str):
         raise FleetError("tenant name must be a non-empty string")
-    return tuple(
-        sorted(range(shards), key=lambda s: (-_score(tenant, key, s), s))
-    )
+    return _ranking(tenant, shards, key)
 
 
 def home_shard(tenant: str, shards: int, key: str = "") -> int:
@@ -166,7 +180,10 @@ class ShardHandle:
     """One shard: its service, its private registry, its fault state.
 
     The registry outlives service restarts, so per-shard counters and
-    latency sketches are cumulative across a kill/revive cycle.
+    latency sketches are cumulative across a kill/revive cycle.  The
+    ``fleet.shard.*`` counters are bound (and materialized at zero) when
+    the handle is built, and each tenant's latency histogram on its
+    first admission, so the per-request notes do no registry lookups.
     """
 
     def __init__(
@@ -177,6 +194,13 @@ class ShardHandle:
         self.machine = machine
         self.config = config
         self.registry = MetricsRegistry()
+        labels = {"shard": self.name}
+        counter = self.registry.counter
+        self._submitted = counter("fleet.shard.submitted", labels)
+        self._admitted = counter("fleet.shard.admitted", labels)
+        self._rejected = counter("fleet.shard.rejected", labels)
+        #: tenant -> its ``fleet.request_latency_s`` child on this shard.
+        self._latency: dict[str, Histogram] = {}
         self.service = CollectiveService(machine, config)
         self.fault_set: FaultSet | None = None
         #: Bumped on every revive; generation 0 is the original service.
@@ -198,34 +222,26 @@ class ShardHandle:
     # -- shard-local accounting (attempt-level, not submission-level) --
 
     def note_submitted(self) -> None:
-        self.registry.counter(
-            "fleet.shard.submitted", {"shard": self.name}
-        ).inc()
+        self._submitted.inc()
 
     def note_admitted(self, tenant: str, latency_s: float) -> None:
-        self.registry.counter(
-            "fleet.shard.admitted", {"shard": self.name}
-        ).inc()
-        self.registry.histogram(
-            LATENCY_METRIC, {"tenant": tenant, "shard": self.name}
-        ).observe(latency_s)
+        self._admitted.inc()
+        histogram = self._latency.get(tenant)
+        if histogram is None:
+            histogram = self._latency[tenant] = self.registry.histogram(
+                LATENCY_METRIC, {"tenant": tenant, "shard": self.name}
+            )
+        histogram.observe(latency_s)
 
     def note_rejected(self) -> None:
-        self.registry.counter(
-            "fleet.shard.rejected", {"shard": self.name}
-        ).inc()
+        self._rejected.inc()
 
     def stats(self) -> dict[str, Any]:
-        def _value(name: str) -> int:
-            return int(
-                self.registry.counter(name, {"shard": self.name}).value
-            )
-
         return {
             "generation": self.generation,
-            "submitted": _value("fleet.shard.submitted"),
-            "admitted": _value("fleet.shard.admitted"),
-            "rejected": _value("fleet.shard.rejected"),
+            "submitted": int(self._submitted.value),
+            "admitted": int(self._admitted.value),
+            "rejected": int(self._rejected.value),
             "fault_events": (
                 len(self.fault_set.events) if self.fault_set else 0
             ),
@@ -268,6 +284,12 @@ class FleetRouter:
         self._running = False
         self._sequence = 0
         self._counts = {outcome.value: 0 for outcome in FleetOutcome}
+        #: The FLEET_COUNTERS by name, bound at start().
+        self._counters: dict[str, Counter] = {}
+        #: Route orders by ranking, valid for the health-state tuple
+        #: they were derived under (see :meth:`_route_order`).
+        self._orders: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self._orders_states: tuple[ShardHealth, ...] | None = None
         #: Outage plan progress: shard -> "pending" | "active" | "done".
         self._outage_phase = {o.shard: "pending" for o in self.config.outages}
 
@@ -283,10 +305,11 @@ class FleetRouter:
     def start(self) -> None:
         if self._running:
             raise FleetError("fleet already started")
-        for name in FLEET_COUNTERS:
-            # Materialize at zero so a clean run reads rate 0, not a
-            # missing metric (mirrors the service counters).
-            self.registry.counter(name)
+        # Materialize at zero so a clean run reads rate 0, not a missing
+        # metric (mirrors the service counters), and bind them once.
+        self._counters = {
+            name: self.registry.counter(name) for name in FLEET_COUNTERS
+        }
         for shard in self.shards:
             shard.start()
         self._running = True
@@ -357,16 +380,30 @@ class FleetRouter:
 
     def route_order(self, tenant: str, key: str = "") -> tuple[int, ...]:
         """Serving shards in try order: healthy first, ranking within."""
-        ranking = shard_ranking(tenant, len(self.shards), key)
-        serving = [i for i in ranking if self.health.state(i).serving]
-        # Stable sort: healthy shards keep ranking order ahead of
-        # degraded ones, which keep ranking order among themselves.
-        return tuple(
-            sorted(
-                serving,
-                key=lambda i: self.health.state(i) is ShardHealth.DEGRADED,
+        return self._route_order(shard_ranking(tenant, len(self.shards), key))
+
+    def _route_order(self, ranking: tuple[int, ...]) -> tuple[int, ...]:
+        """:meth:`route_order` for a ranking, memoized per health state.
+
+        :class:`HealthTracker` hands out a new state tuple on every
+        transition, so a memo built under another tuple is dropped.
+        """
+        states = self.health.states()
+        if states is not self._orders_states:
+            self._orders = {}
+            self._orders_states = states
+        order = self._orders.get(ranking)
+        if order is None:
+            serving = [i for i in ranking if states[i].serving]
+            # Stable sort: healthy shards keep ranking order ahead of
+            # degraded ones, which keep ranking order among themselves.
+            order = self._orders[ranking] = tuple(
+                sorted(
+                    serving,
+                    key=lambda i: states[i] is ShardHealth.DEGRADED,
+                )
             )
-        )
+        return order
 
     async def submit(
         self, tenant: str, request: CollectiveRequest, key: str = ""
@@ -380,7 +417,7 @@ class FleetRouter:
             raise FleetError("tenant name must be a non-empty string")
         sequence = self._sequence
         self._sequence += 1
-        self.registry.counter("fleet.submitted").inc()
+        self._counters["fleet.submitted"].inc()
         await self._apply_outages()
         ranking = shard_ranking(tenant, len(self.shards), key)
         home = ranking[0]
@@ -401,13 +438,9 @@ class FleetRouter:
                 f"{request.pattern.value!r}",
             )
 
-        serving = [i for i in ranking if self.health.state(i).serving]
-        candidates = tuple(
-            sorted(
-                serving,
-                key=lambda i: self.health.state(i) is ShardHealth.DEGRADED,
-            )
-        )[: 1 + self.config.max_reroutes]
+        candidates = self._route_order(ranking)[
+            : 1 + self.config.max_reroutes
+        ]
         attempts: list[int] = []
         last: ServiceResponse | None = None
         last_shard: int | None = None
@@ -476,10 +509,10 @@ class FleetRouter:
         generation: int | None = None,
     ) -> FleetResponse:
         self._counts[outcome.value] += 1
-        self.registry.counter(f"fleet.{outcome.value}").inc()
-        extra = max(0, len(attempts) - 1)
-        if extra:
-            self.registry.counter("fleet.reroutes").inc(extra)
+        self._counters["fleet." + outcome.value].inc()
+        extra = len(attempts) - 1
+        if extra > 0:
+            self._counters["fleet.reroutes"].inc(extra)
         return FleetResponse(
             tenant=tenant,
             sequence=sequence,

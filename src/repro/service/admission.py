@@ -26,6 +26,12 @@ smaller.  Pattern/quota/multiplexing skips do not reorder same-tenant,
 same-structure entries (the skip decision is identical for all of them
 within one occurrence), which is the invariant the hypothesis suite
 pins.
+
+An entry's structure key and service time depend only on its request,
+so the first selection that needs them stores them on the entry and
+later occurrences (and the service, once the entry is admitted) reuse
+them: each queued request is keyed and priced once, not once per
+occurrence it waits through.
 """
 
 from __future__ import annotations
@@ -64,6 +70,9 @@ class QueueEntry:
     #: Opaque completion handle (an asyncio future in the live service;
     #: tests drive the queue without one).
     handle: Any = None
+    #: Set by the first :meth:`AdmissionQueue.select` that needs them.
+    structure: Hashable = None
+    service_s: float | None = None
 
 
 @dataclass(frozen=True)
@@ -144,10 +153,14 @@ class AdmissionQueue:
             quota = self._account(entry.tenant).quota
             if per_tenant.get(entry.tenant, 0) >= quota.max_per_slot:
                 continue
-            key = structure_key(entry.request)
+            key = entry.structure
+            if key is None:
+                key = entry.structure = structure_key(entry.request)
             if key not in seen and len(seen) >= slot.max_multiplexing:
                 continue
-            cost = service_time_s(entry.request)
+            cost = entry.service_s
+            if cost is None:
+                cost = entry.service_s = service_time_s(entry.request)
             if admitted and consumed + cost > budget:
                 # Strict FIFO fill: once the window cannot take the next
                 # eligible entry, the occurrence is closed.

@@ -19,6 +19,12 @@ records which path priced it.
 Determinism: there is no real I/O and no wall-clock dependence, so a
 given submission interleaving produces byte-identical responses, which
 is what lets ``tenant_service_load`` keep a golden fixture.
+
+Failure: if the scheduler itself raises, every request it still holds
+fails with a :class:`~repro.errors.ServiceError` chained from the
+cause (counted as rejected, so conservation holds), the service stops
+``running``, and every later :meth:`CollectiveService.submit` or
+:meth:`CollectiveService.drain` raises the same way.
 """
 
 from __future__ import annotations
@@ -33,10 +39,12 @@ from ..config.service import ServiceConfig, default_service_config
 from ..core.pimnet import PimnetBackend
 from ..errors import CollectiveError, ScheduleError, ServiceError
 from ..observability import (
+    Counter,
+    Histogram,
     LogBucketSketch,
-    metric_counter,
+    MetricsRegistry,
+    active_metrics,
     metric_gauge,
-    metric_histogram,
     metrics_active,
 )
 from .admission import AdmissionQueue, Outcome, QueueEntry
@@ -153,6 +161,36 @@ class TenantStats:
         }
 
 
+class _Instruments:
+    """The service's instruments in one registry, each looked up once.
+
+    Instruments are still created on first use, as through
+    :func:`~repro.observability.metric_counter`, so a registry ends up
+    with the same families either way.
+    """
+
+    def __init__(self, registry: MetricsRegistry) -> None:
+        self.registry = registry
+        self._counters: dict[str, Counter] = {}
+        self._latency: dict[str, Histogram] = {}
+
+    def counter(self, name: str) -> Counter:
+        counter = self._counters.get(name)
+        if counter is None:
+            counter = self._counters[name] = self.registry.counter(name)
+        return counter
+
+    def latency(self, tenant: str) -> Histogram:
+        """``tenant``'s child of ``tenant.request_latency_s``."""
+        histogram = self._latency.get(tenant)
+        if histogram is None:
+            histogram = self._latency[tenant] = self.registry.histogram(
+                "tenant.request_latency_s",
+                {"substrate": SERVICE_SUBSTRATE, "tenant": tenant},
+            )
+        return histogram
+
+
 class CollectiveService:
     """Admission-controlled asyncio front-end over one PIMnet machine.
 
@@ -189,6 +227,13 @@ class CollectiveService:
         #: Structures already compiled via cached_build_schedule.
         self._compiled: set[Hashable] = set()
         self.occurrences: list[OccurrenceRecord] = []
+        #: Instruments of the registry active when last used; rebound
+        #: whenever a different registry is active.
+        self._bound: _Instruments | None = None
+        #: Entries an occurrence took from the queue but has not resolved.
+        self._selected: tuple[QueueEntry, ...] = ()
+        #: What killed the scheduler, once it has died.
+        self._failure: Exception | None = None
 
     # -- lifecycle ----------------------------------------------------
 
@@ -204,18 +249,23 @@ class CollectiveService:
             raise ServiceError("service already started")
         if self._closed:
             raise ServiceError("service was closed; build a new one")
-        if metrics_active():
+        metrics = self._metrics()
+        if metrics is not None:
             # Materialize the counter family at zero so a run with no
             # rejections reads as rejection rate 0, not a missing metric.
             for name in ("service.submitted", "service.admitted",
                          "service.rejected", "service.occurrences"):
-                metric_counter(name)
+                metrics.counter(name)
         loop = asyncio.get_running_loop()
         self._task = loop.create_task(self._run(), name="collective-service")
 
     @property
     def running(self) -> bool:
-        return self._task is not None and not self._closed
+        return (
+            self._task is not None
+            and not self._closed
+            and self._failure is None
+        )
 
     async def close(self) -> None:
         """Stop the scheduler; reject anything still queued, loudly."""
@@ -240,8 +290,20 @@ class CollectiveService:
 
     async def drain(self) -> None:
         """Wait (in simulated occurrences) until the queue is empty."""
+        self._raise_if_failed()
         while self._queue.depth:
             await asyncio.sleep(0)
+            self._raise_if_failed()
+
+    def _raise_if_failed(self) -> None:
+        if self._failure is not None:
+            raise self._failure_error()
+
+    def _failure_error(self) -> ServiceError:
+        """A fresh error per caller, chained from the scheduler's."""
+        error = ServiceError(f"service scheduler failed: {self._failure!r}")
+        error.__cause__ = self._failure
+        return error
 
     # -- submission ---------------------------------------------------
 
@@ -249,6 +311,7 @@ class CollectiveService:
         self, tenant: str, request: CollectiveRequest
     ) -> ServiceResponse:
         """Submit one request; resolves when served or rejected."""
+        self._raise_if_failed()
         if not self.running:
             raise ServiceError(
                 "service is not running; enter it with 'async with' first"
@@ -260,8 +323,9 @@ class CollectiveService:
         stats = self._tenant(tenant)
         stats.submitted += 1
         self._totals["submitted"] += 1
-        if metrics_active():
-            metric_counter("service.submitted").inc()
+        metrics = self._metrics()
+        if metrics is not None:
+            metrics.counter("service.submitted").inc()
         try:
             request.validate_for(self.num_dpus)
         except CollectiveError as exc:
@@ -289,28 +353,53 @@ class CollectiveService:
     # -- scheduler ----------------------------------------------------
 
     async def _run(self) -> None:
-        while True:
-            if self._queue.depth == 0:
-                self._work.clear()
-                await self._work.wait()
-            slot = self.cycle.slot_at(self._position)
-            self._occurrence(slot)
-            # Yield once so resolved futures wake their submitters (a
-            # closed-loop driver re-enqueues before the next occurrence).
-            await asyncio.sleep(0)
+        try:
+            while True:
+                if self._queue.depth == 0:
+                    self._work.clear()
+                    await self._work.wait()
+                slot = self.cycle.slot_at(self._position)
+                self._occurrence(slot)
+                # Yield once so resolved futures wake their submitters (a
+                # closed-loop driver re-enqueues before the next
+                # occurrence).
+                await asyncio.sleep(0)
+        except Exception as exc:
+            self._fail(exc)
+
+    def _fail(self, cause: Exception) -> None:
+        """The scheduler died: answer everything it held, loudly."""
+        self._failure = cause
+        for entry in (*self._selected, *self._queue.drain_all()):
+            error = self._failure_error()
+            self._reject_response(
+                entry.tenant, entry.sequence, entry.request, str(error),
+                arrival_s=entry.arrival_s,
+            )
+            if entry.handle is not None and not entry.handle.done():
+                entry.handle.set_exception(error)
+        self._selected = ()
 
     def _occurrence(self, slot: TimeSlot) -> None:
         start_s = self._now_s
         selection = self._queue.select(
             slot, self.structure_key, lambda r: self._service_time(r)[0]
         )
+        # Compile before resolving anything: should it raise, no selected
+        # entry is resolved yet and _fail() answers all of them.
+        self._selected = selection.entries
+        for entry in selection.entries:
+            self._compile(entry.structure, entry.request)
+        self._selected = ()
+        metrics = self._metrics()
         cycle_index = self.cycle.cycle_of(self._position)
         entries_log = []
         elapsed = 0.0
         for entry in selection.entries:
-            structure = self.structure_key(entry.request)
-            self._compile(structure, entry.request)
-            service_s, replayed = self._service_time(entry.request)
+            # select() stored the entry's structure and service time; the
+            # replay flag comes from the same per-payload price memo.
+            service_s = entry.service_s
+            replayed = self._service_time(entry.request)[1]
             elapsed += service_s
             finish_s = start_s + elapsed
             response = ServiceResponse(
@@ -327,8 +416,10 @@ class CollectiveService:
                 slot=slot.name,
                 replayed=replayed,
             )
-            self._record_admitted(response)
-            entries_log.append((entry.tenant, entry.sequence, structure))
+            self._record_admitted(response, metrics)
+            entries_log.append(
+                (entry.tenant, entry.sequence, entry.structure)
+            )
             if not entry.handle.done():
                 entry.handle.set_result(response)
         self.occurrences.append(
@@ -343,8 +434,8 @@ class CollectiveService:
                 structures=selection.structures,
             )
         )
-        if metrics_active():
-            metric_counter("service.occurrences").inc()
+        if metrics is not None:
+            metrics.counter("service.occurrences").inc()
         # The occurrence holds the fabric for its window (or its overrun,
         # for a single oversized admission), then pays the switch time.
         self._now_s = start_s + max(
@@ -399,6 +490,16 @@ class CollectiveService:
 
     # -- accounting ---------------------------------------------------
 
+    def _metrics(self) -> _Instruments | None:
+        """Bound instruments of the active registry (None: metrics off)."""
+        registry = active_metrics()
+        if registry is None or not registry.enabled:
+            return None
+        bound = self._bound
+        if bound is None or bound.registry is not registry:
+            bound = self._bound = _Instruments(registry)
+        return bound
+
     def _tenant(self, tenant: str) -> TenantStats:
         stats = self._tenants.get(tenant)
         if stats is None:
@@ -417,8 +518,9 @@ class CollectiveService:
         stats = self._tenant(tenant)
         stats.rejected += 1
         self._totals["rejected"] += 1
-        if metrics_active():
-            metric_counter("service.rejected").inc()
+        metrics = self._metrics()
+        if metrics is not None:
+            metrics.counter("service.rejected").inc()
         return ServiceResponse(
             tenant=tenant,
             sequence=sequence,
@@ -429,7 +531,9 @@ class CollectiveService:
             arrival_s=self._now_s if arrival_s is None else arrival_s,
         )
 
-    def _record_admitted(self, response: ServiceResponse) -> None:
+    def _record_admitted(
+        self, response: ServiceResponse, metrics: _Instruments | None
+    ) -> None:
         stats = self._tenant(response.tenant)
         stats.admitted += 1
         self._totals["admitted"] += 1
@@ -440,12 +544,9 @@ class CollectiveService:
             self._replayed += 1
         else:
             self._fallbacks += 1
-        if metrics_active():
-            metric_counter("service.admitted").inc()
-            metric_histogram(
-                "tenant.request_latency_s",
-                {"substrate": SERVICE_SUBSTRATE, "tenant": response.tenant},
-            ).observe(latency)
+        if metrics is not None:
+            metrics.counter("service.admitted").inc()
+            metrics.latency(response.tenant).observe(latency)
 
     def check_conservation(self) -> None:
         """submitted == admitted + rejected + still-queued, or raise."""

@@ -51,6 +51,12 @@ class SlotCycle:
         )
         self.switch_time_s = config.switch_time_s
         self.cycle_time_s = config.cycle_time_s
+        # accepts() per pattern, resolved once: a slot without a filter
+        # takes anything, else the union of the slot filters decides.
+        self._accepts_any = any(not slot.patterns for slot in self.slots)
+        self._accepted: frozenset[Collective] = frozenset().union(
+            *(slot.patterns for slot in self.slots)
+        )
 
     def __len__(self) -> int:
         return len(self.slots)
@@ -64,7 +70,8 @@ class SlotCycle:
         return position // len(self.slots)
 
     def accepts(self, pattern: Collective) -> bool:
-        return any(slot.accepts(pattern) for slot in self.slots)
+        """Whether any slot of the cycle takes ``pattern``."""
+        return self._accepts_any or pattern in self._accepted
 
     def slots_for(self, pattern: Collective) -> tuple[TimeSlot, ...]:
         return tuple(s for s in self.slots if s.accepts(pattern))

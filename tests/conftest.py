@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
+from dataclasses import dataclass
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -71,3 +77,50 @@ def make_buffers(
         rng.integers(low, high, num_elements).astype(dtype)
         for _ in range(num_dpus)
     ]
+
+
+@dataclass(frozen=True)
+class ConformanceColdRun:
+    """One cold ``repro conformance run`` of the default matrix."""
+
+    exit_code: int
+    #: The ``--json`` payload printed on stdout.
+    payload: dict
+    #: Whatever stdout carried after the payload (the ``wrote`` lines).
+    trailer: str
+    cache_dir: Path
+    metrics_path: Path
+    reproducer_dir: Path
+
+
+@pytest.fixture(scope="session")
+def conformance_cold_run(
+    tmp_path_factory: pytest.TempPathFactory,
+) -> ConformanceColdRun:
+    """The 45-point default matrix run cold once per session, through the
+    CLI with a cache directory, a metrics dump and ``--json``; every test
+    that only reads a cold run's results shares it."""
+    from repro.cli import main
+
+    root = tmp_path_factory.mktemp("conformance-cold")
+    cache_dir = root / "cache"
+    metrics_path = root / "m.json"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        exit_code = main([
+            "conformance", "run",
+            "--cache-dir", str(cache_dir),
+            "--reproducer-dir", str(root),
+            "--metrics", str(metrics_path),
+            "--json",
+        ])
+    text = stdout.getvalue()
+    payload, end = json.JSONDecoder().raw_decode(text)
+    return ConformanceColdRun(
+        exit_code=exit_code,
+        payload=payload,
+        trailer=text[end:],
+        cache_dir=cache_dir,
+        metrics_path=metrics_path,
+        reproducer_dir=root,
+    )

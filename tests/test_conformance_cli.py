@@ -30,45 +30,40 @@ class TestList:
 
 @pytest.mark.slow
 class TestRun:
-    def test_full_matrix_passes_then_reruns_warm(self, tmp_path, capsys):
-        cache_dir = str(tmp_path / "cache")
-        assert main([
-            "conformance", "run", "--cache-dir", cache_dir,
-            "--reproducer-dir", str(tmp_path),
-        ]) == 0
-        cold = capsys.readouterr().out
-        assert "45 point(s), 0 failure(s)" in cold
-        assert "45 miss(es)" in cold
-        assert main([
-            "conformance", "run", "--cache-dir", cache_dir,
-            "--reproducer-dir", str(tmp_path),
-        ]) == 0
+    def test_full_matrix_passes_then_reruns_warm(
+        self, conformance_cold_run, capsys
+    ):
+        cold = conformance_cold_run
+        assert cold.exit_code == 0
+        assert cold.payload["points"] == 45
+        assert cold.payload["failures"] == 0
+        assert cold.payload["cache_misses"] == 45
+        warm_args = [
+            "conformance", "run", "--cache-dir", str(cold.cache_dir),
+            "--reproducer-dir", str(cold.reproducer_dir),
+        ]
+        assert main(warm_args) == 0
         warm = capsys.readouterr().out
-        assert "cache: 45 hit(s), 0 miss(es)" in warm
+        assert "45 point(s), 0 failure(s); cache: 45 hit(s), 0 miss(es)" in (
+            warm
+        )
         # Same verdict either way.
-        assert cold.split("cache:")[0] == warm.split("cache:")[0]
+        assert main([*warm_args, "--json"]) == 0
+        warm_payload = json.loads(capsys.readouterr().out)
+        assert warm_payload["cache_hits"] == 45
+        assert warm_payload["reports"] == cold.payload["reports"]
 
     def test_metrics_dump_written_alongside_the_run(
-        self, tmp_path, capsys
+        self, conformance_cold_run
     ):
-        metrics_path = tmp_path / "m.json"
-        assert main([
-            "conformance", "run",
-            "--cache-dir", str(tmp_path / "cache"),
-            "--reproducer-dir", str(tmp_path),
-            "--metrics", str(metrics_path),
-        ]) == 0
-        assert f"wrote {metrics_path}" in capsys.readouterr().out
-        metrics = json.loads(metrics_path.read_text())["metrics"]
+        cold = conformance_cold_run
+        assert f"wrote {cold.metrics_path}" in cold.trailer
+        metrics = json.loads(cold.metrics_path.read_text())["metrics"]
         assert metrics["conformance.points"]["value"] == 45.0
         assert metrics["conformance.cache.misses"]["value"] == 45.0
 
-    def test_json_mode_reports_every_point(self, tmp_path, capsys):
-        assert main([
-            "conformance", "run", "--no-cache", "--json",
-            "--reproducer-dir", str(tmp_path),
-        ]) == 0
-        payload = json.loads(capsys.readouterr().out)
+    def test_json_mode_reports_every_point(self, conformance_cold_run):
+        payload = conformance_cold_run.payload
         assert payload["ok"] and payload["points"] == 45
         assert payload["failures"] == 0
         assert payload["reproducers"] == []

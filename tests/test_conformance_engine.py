@@ -187,16 +187,18 @@ class TestRunMatrix:
 
 @pytest.mark.slow
 class TestFullMatrix:
-    def test_default_matrix_all_models_agree(self):
+    def test_default_matrix_all_models_agree(self, conformance_cold_run):
         """The acceptance criterion: the full 5x3x3 matrix passes with
         functional bit-exactness, latency within band, and flit
-        conservation on every point."""
-        config = ConformanceConfig()
-        report = run_matrix(config, cache_enabled=False)
+        conservation on every point (read from the shared cold run)."""
+        payload = conformance_cold_run.payload
+        reports = payload["reports"]
         failing = [
             f"{r['point']}: "
             + ",".join(n for n in CHECKS if not r["checks"][n]["ok"])
-            for r in report.failures
+            for r in reports
+            if not r["ok"]
         ]
-        assert report.ok, failing
-        assert len(report.reports) == config.num_points == 45
+        assert payload["ok"] and not failing, failing
+        assert payload["cache_misses"] == len(reports)
+        assert len(reports) == ConformanceConfig().num_points == 45

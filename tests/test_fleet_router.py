@@ -240,6 +240,31 @@ class TestRouting:
         assert restored.shard == home
         assert generation == 1  # fresh service after the kill
 
+    def test_failed_scheduler_is_an_unreachable_shard(self):
+        tenant = "a"
+        home = home_shard(tenant, 3)
+        backup = shard_ranking(tenant, 3)[1]
+
+        def broken(_request):
+            raise RuntimeError("pricing exploded")
+
+        async def go():
+            async with FleetRouter(fleet_config(), TINY) as fleet:
+                fleet.shards[home].service._service_time = broken
+                # The first request dies with the scheduler, the second
+                # finds the shard's service already failed.
+                responses = [
+                    await fleet.submit(tenant, ar()) for _ in range(2)
+                ]
+                await fleet.drain()
+                return responses, fleet.stats()
+
+        responses, stats = run(go())
+        for response in responses:
+            assert response.outcome is FleetOutcome.REROUTED
+            assert response.attempts == (home, backup)
+        assert stats["shards"][f"shard-{home}"]["rejected"] == 2
+
     def test_all_shards_down_fails_explicitly(self):
         async def go():
             async with FleetRouter(fleet_config(), TINY) as fleet:

@@ -275,6 +275,90 @@ class TestMetrics:
         assert stats["tenants"]["alpha"]["p99_s"] > 0
 
 
+class TestRegistryRebinding:
+    def test_each_request_lands_in_the_registry_active_at_the_time(self):
+        first, second = MetricsRegistry(), MetricsRegistry()
+        latency = instrument_key(
+            "tenant.request_latency_s",
+            {"substrate": SERVICE_SUBSTRATE, "tenant": "a"},
+        )
+
+        async def go():
+            # Started with no registry active: nothing is materialized.
+            async with CollectiveService(TINY) as service:
+                with use_metrics(first):
+                    for _ in range(2):
+                        await service.submit("a", ar())
+                with use_metrics(second):
+                    await service.submit("a", ar())
+                await service.submit("a", ar())  # metrics off
+                with use_metrics(first):
+                    await service.submit("a", ar())
+
+        run(go())
+        for registry, requests in ((first, 3), (second, 1)):
+            counters = registry.counters
+            assert counters["service.submitted"].value == requests
+            assert counters["service.admitted"].value == requests
+            assert registry.histograms[latency].count == requests
+            # Bound lazily, like metric_counter: no start-time zeros.
+            assert "service.rejected" not in counters
+
+
+class TestSchedulerFailure:
+    """A scheduler that raises answers every caller instead of hanging."""
+
+    @staticmethod
+    async def settle(tasks, passes=20):
+        # Bounded event-loop passes, no wall-clock timeout: a hung
+        # submitter shows up as a task that is still pending.
+        for _ in range(passes):
+            if all(task.done() for task in tasks):
+                return
+            await asyncio.sleep(0)
+
+    @pytest.mark.parametrize("method", ["_service_time", "_compile"])
+    def test_queued_callers_fail_and_later_calls_raise(
+        self, monkeypatch, method
+    ):
+        def broken(*_):
+            raise RuntimeError("pricing exploded")
+
+        # Pricing fails inside select(), compiling after it: both paths
+        # must answer every request the scheduler held.
+        monkeypatch.setattr(CollectiveService, method, broken)
+
+        async def go():
+            service = CollectiveService(TINY)
+            service.start()
+            tasks = [
+                asyncio.ensure_future(service.submit(tenant, ar()))
+                for tenant in ("a", "a", "b")
+            ]
+            await self.settle(tasks)
+            # Checked here: a broken drain() below would spin forever.
+            assert all(task.done() for task in tasks)
+            errors = [task.exception() for task in tasks]
+            with pytest.raises(ServiceError) as late_submit:
+                await service.submit("a", ar())
+            with pytest.raises(ServiceError) as late_drain:
+                await service.drain()
+            running = service.running
+            stats = service.stats()  # checks conservation
+            await service.close()
+            return errors, late_submit, late_drain, running, stats
+
+        errors, late_submit, late_drain, running, stats = run(go())
+        assert len(errors) == 3
+        for error in (*errors, late_submit.value, late_drain.value):
+            assert isinstance(error, ServiceError)
+            assert isinstance(error.__cause__, RuntimeError)
+            assert "pricing exploded" in str(error)
+        assert not running
+        assert stats["submitted"] == stats["rejected"] == 3
+        assert stats["queued"] == 0
+
+
 @st.composite
 def service_cases(draw):
     arrivals = draw(
